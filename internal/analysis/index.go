@@ -1,8 +1,8 @@
 package analysis
 
 import (
+	"maps"
 	"runtime"
-	"sync"
 
 	"github.com/netmeasure/topicscope/internal/chaos"
 	"github.com/netmeasure/topicscope/internal/cmpdb"
@@ -22,7 +22,8 @@ import (
 // sort with a total order (count desc, name asc tie-break). The merged
 // Index, and hence every table and figure, is therefore byte-identical
 // regardless of GOMAXPROCS or stripe boundaries. The parity test in
-// index_test.go checks this against the sequential legacy scan.
+// index_test.go checks this against the sequential legacy scan
+// (legacy_test.go).
 //
 // All hostname splitting goes through one etld.Cache, so each distinct
 // hostname is normalized and split into eTLD+1/TLD/region exactly once
@@ -61,11 +62,12 @@ type Index struct {
 type siteSet = map[string]bool
 
 // callerFacts is the classification every experiment keys on: allow-list
-// membership and attestation validity. Folding fills only allowed — the
-// allow-list exists before the first visit, but the attestation sweep
-// runs after the crawl — so attested is resolved in finalize. That split
-// is what lets a live index fold records while the campaign is still
-// running (live.go) and still finalize into the exact post-hoc Index.
+// membership and attestation validity. Folding records only the allowed
+// bit (indexShard.Allowed) — the allow-list exists before the first
+// visit, but the attestation sweep runs after the crawl — and finalize
+// resolves attested. That split is what lets a live index fold records
+// while the campaign is still running (live.go) and still finalize into
+// the exact post-hoc Index.
 type callerFacts struct {
 	allowed  bool
 	attested bool
@@ -78,16 +80,18 @@ const epochSeconds = 7 * 24 * 60 * 60
 // epochCount accumulates one virtual-week bucket of the longitudinal
 // trajectory (experiment L1's live form). Counters add, sets union.
 type epochCount struct {
-	visits, calls int
-	callers       map[string]bool
-	sites         siteSet
+	Visits  int             `json:"visits"`
+	Calls   int             `json:"calls"`
+	Callers map[string]bool `json:"callers"`
+	Sites   siteSet         `json:"sites"`
 }
 
 // rankCount accumulates Before-Accept visit outcomes per Tranco rank, so
 // the rank-decile table can be assembled after the global max rank is
 // known.
 type rankCount struct {
-	attempted, succeeded int
+	Attempted int `json:"a"`
+	Succeeded int `json:"s"`
 }
 
 // BuildIndex aggregates the dataset with one worker per CPU.
@@ -98,151 +102,125 @@ func BuildIndex(in *Input) *Index {
 // buildIndex is the worker-count-explicit core, separated so tests can
 // prove the output is independent of the worker count.
 func buildIndex(in *Input, workers int) *Index {
-	visits := in.Data.Visits
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > len(visits) {
-		workers = len(visits)
-	}
-	if workers == 0 {
-		workers = 1
-	}
-
-	cache := etld.NewCache()
-	shards := make([]*indexShard, workers)
-	var wg sync.WaitGroup
-	stripe := (len(visits) + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		s := newIndexShard(in, cache)
-		shards[w] = s
-		lo := w * stripe
-		hi := lo + stripe
-		if hi > len(visits) {
-			hi = len(visits)
-		}
-		wg.Add(1)
-		go func(s *indexShard, lo, hi int) {
-			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				s.add(&visits[i])
-			}
-		}(s, lo, hi)
-	}
-	wg.Wait()
-	in.Metrics.Add("analysis_visits_indexed_total", int64(len(visits)))
-	in.Metrics.Add("analysis_index_shards_total", int64(workers))
-
-	agg := shards[0]
-	for _, s := range shards[1:] {
-		agg.absorb(s)
-	}
-
-	idx := &Index{
-		etld:    cache,
-		called:  agg.called,
-		present: agg.present,
-		callers: agg.callers,
-	}
-	idx.finalize(in, agg)
-	return idx
+	return buildShardIndex(in, workers).agg.finalize(in)
 }
 
-// indexShard accumulates one stripe of visits. Every field merges
-// commutatively (see the Index determinism invariant).
+// indexShard is the analysis accumulator: add folds one visit into it,
+// absorb merges another accumulator into it, and finalize turns it into
+// an Index. Every field merges commutatively (see the Index determinism
+// invariant). The tagged fields, in declaration order, are the body of
+// the `<journal>.idx` snapshot (live.go): the file is this struct's JSON
+// encoding, so a new aggregate needs a field here (allocated in
+// newIndexShard when it is a map) and a line in add, absorb and
+// finalize — nothing else.
 type indexShard struct {
 	in    *Input
 	cache *etld.Cache
 
-	called  map[dataset.Phase]map[string]siteSet
-	present map[dataset.Phase]map[string]siteSet
-	callers map[string]callerFacts
+	Called  map[dataset.Phase]map[string]siteSet `json:"called"`
+	Present map[dataset.Phase]map[string]siteSet `json:"present"`
+	// Allowed memoizes the allow-list membership of every distinct
+	// caller; its keys are the caller set.
+	Allowed map[string]bool `json:"allowed"`
 
-	// Overview (D1). aaLegitCalled keys the successful After-Accept
+	// Overview (D1). AALegitCalled keys the successful After-Accept
 	// call sites by their allowed caller; which of those callers are
 	// attested — and hence which sites count as "legit call" sites — is
 	// only known at finalize, after the attestation sweep.
-	attempted, visited, accepted siteSet
-	banners                      int
-	thirdParties                 map[string]bool
-	daaSites                     siteSet
-	aaLegitCalled                map[string]siteSet
+	Attempted     siteSet            `json:"attempted"`
+	Visited       siteSet            `json:"visited"`
+	Accepted      siteSet            `json:"accepted"`
+	ThirdParties  map[string]bool    `json:"third_parties"`
+	DAASites      siteSet            `json:"daa_sites"`
+	AALegitCalled map[string]siteSet `json:"aa_legit_called"`
+	Banners       int                `json:"banners"`
 
 	// Reliability (D1r).
-	retries, circuitOpens                 int
-	relAttempted, relSucceeded, relFailed int
-	partialVisits                         int
-	byClass                               map[string]int
-	ranks                                 map[int]*rankCount
-	maxRank                               int
+	Retries       int               `json:"retries"`
+	CircuitOpens  int               `json:"circuit_opens"`
+	RelAttempted  int               `json:"rel_attempted"`
+	RelSucceeded  int               `json:"rel_succeeded"`
+	RelFailed     int               `json:"rel_failed"`
+	PartialVisits int               `json:"partial_visits"`
+	ByClass       map[string]int    `json:"by_class"`
+	Ranks         map[int]rankCount `json:"ranks"`
+	MaxRank       int               `json:"max_rank"`
 
 	// Anomaly (A1).
-	anomCalls, sameSLD, jsCalls int
-	anomCPs                     map[string]bool
-	anomSites, gtmSites         siteSet
+	AnomCalls int     `json:"anom_calls"`
+	SameSLD   int     `json:"same_sld"`
+	JSCalls   int     `json:"js_calls"`
+	AnomCPs   siteSet `json:"anom_cps"`
+	AnomSites siteSet `json:"anom_sites"`
+	GTMSites  siteSet `json:"gtm_sites"`
 
 	// Figure 7.
-	f7Total, f7Quest       int
-	sitesByCMP, questByCMP stats.Counter
+	F7Total    int           `json:"f7_total"`
+	F7Quest    int           `json:"f7_quest"`
+	SitesByCMP stats.Counter `json:"sites_by_cmp"`
+	QuestByCMP stats.Counter `json:"quest_by_cmp"`
 
 	// Call types (X1).
-	byPhase     map[dataset.Phase]map[dataset.CallType]int
-	legitByType map[dataset.CallType]int
-	anomByType  map[dataset.CallType]int
-	perCP       map[string]map[dataset.CallType]int
+	ByPhase     map[dataset.Phase]map[dataset.CallType]int `json:"by_phase"`
+	LegitByType map[dataset.CallType]int                   `json:"legit_by_type"`
+	AnomByType  map[dataset.CallType]int                   `json:"anom_by_type"`
+	PerCP       map[string]map[dataset.CallType]int        `json:"per_cp"`
 
 	// Languages (D2).
-	langVisited, langNoBanner, langMissed int
-	acceptedByLang                        stats.Counter
+	LangVisited    int           `json:"lang_visited"`
+	LangNoBanner   int           `json:"lang_no_banner"`
+	LangMissed     int           `json:"lang_missed"`
+	AcceptedByLang stats.Counter `json:"accepted_by_lang"`
 
 	// Longitudinal trajectory (L1 live form): per-virtual-week buckets.
-	epochs map[int]*epochCount
+	Epochs map[int]epochCount `json:"epochs"`
 }
 
 func newIndexShard(in *Input, cache *etld.Cache) *indexShard {
 	return &indexShard{
 		in:    in,
 		cache: cache,
-		called: map[dataset.Phase]map[string]siteSet{
+		Called: map[dataset.Phase]map[string]siteSet{
 			dataset.BeforeAccept: {},
 			dataset.AfterAccept:  {},
 		},
-		present: map[dataset.Phase]map[string]siteSet{
+		Present: map[dataset.Phase]map[string]siteSet{
 			dataset.BeforeAccept: {},
 			dataset.AfterAccept:  {},
 		},
-		callers:        make(map[string]callerFacts),
-		attempted:      make(siteSet),
-		visited:        make(siteSet),
-		accepted:       make(siteSet),
-		thirdParties:   make(map[string]bool),
-		daaSites:       make(siteSet),
-		aaLegitCalled:  make(map[string]siteSet),
-		byClass:        make(map[string]int),
-		ranks:          make(map[int]*rankCount),
-		anomCPs:        make(map[string]bool),
-		anomSites:      make(siteSet),
-		gtmSites:       make(siteSet),
-		sitesByCMP:     stats.Counter{},
-		questByCMP:     stats.Counter{},
-		byPhase:        make(map[dataset.Phase]map[dataset.CallType]int),
-		legitByType:    make(map[dataset.CallType]int),
-		anomByType:     make(map[dataset.CallType]int),
-		perCP:          make(map[string]map[dataset.CallType]int),
-		acceptedByLang: stats.Counter{},
+		Allowed:        make(map[string]bool),
+		Attempted:      make(siteSet),
+		Visited:        make(siteSet),
+		Accepted:       make(siteSet),
+		ThirdParties:   make(map[string]bool),
+		DAASites:       make(siteSet),
+		AALegitCalled:  make(map[string]siteSet),
+		ByClass:        make(map[string]int),
+		Ranks:          make(map[int]rankCount),
+		AnomCPs:        make(siteSet),
+		AnomSites:      make(siteSet),
+		GTMSites:       make(siteSet),
+		SitesByCMP:     stats.Counter{},
+		QuestByCMP:     stats.Counter{},
+		ByPhase:        make(map[dataset.Phase]map[dataset.CallType]int),
+		LegitByType:    make(map[dataset.CallType]int),
+		AnomByType:     make(map[dataset.CallType]int),
+		PerCP:          make(map[string]map[dataset.CallType]int),
+		AcceptedByLang: stats.Counter{},
+		Epochs:         make(map[int]epochCount),
 	}
 }
 
-// classify memoizes the allow-list membership per distinct caller. Only
-// the allowed bit is known at fold time; finalize resolves attested from
-// the post-crawl attestation sweep (see callerFacts).
-func (s *indexShard) classify(caller string) callerFacts {
-	if f, ok := s.callers[caller]; ok {
-		return f
+// allowed memoizes the allow-list membership per distinct caller. Only
+// this bit is known at fold time; finalize resolves attestation from the
+// post-crawl attestation sweep (see callerFacts).
+func (s *indexShard) allowed(caller string) bool {
+	a, ok := s.Allowed[caller]
+	if !ok {
+		a = s.in.Allowlist != nil && s.in.Allowlist.Contains(caller)
+		s.Allowed[caller] = a
 	}
-	f := callerFacts{allowed: s.in.Allowlist != nil && s.in.Allowlist.Contains(caller)}
-	s.callers[caller] = f
-	return f
+	return a
 }
 
 // phaseSets returns the per-caller/per-CP site-set map of a phase,
@@ -259,71 +237,68 @@ func phaseSets(m map[dataset.Phase]map[string]siteSet, p dataset.Phase) map[stri
 // add folds one visit into the shard: a single pass over its resources
 // and calls feeds every experiment's aggregate at once. Each branch
 // replicates the exact phase/success filter of the corresponding legacy
-// scan (legacy.go) — the filters differ per experiment on purpose, and
-// the parity test depends on matching them bit for bit.
+// scan (legacy_test.go) — the filters differ per experiment on purpose,
+// and the parity test depends on matching them bit for bit.
 func (s *indexShard) add(v *dataset.Visit) {
 	ba := v.Phase == dataset.BeforeAccept
 	aa := v.Phase == dataset.AfterAccept
-	s.retries += v.Retries
+	s.Retries += v.Retries
 
 	if ba {
 		// Reliability: every Before-Accept visit, successful or not.
-		if v.Rank > s.maxRank {
-			s.maxRank = v.Rank
+		if v.Rank > s.MaxRank {
+			s.MaxRank = v.Rank
 		}
-		rc := s.ranks[v.Rank]
-		if rc == nil {
-			rc = &rankCount{}
-			s.ranks[v.Rank] = rc
-		}
-		rc.attempted++
-		s.relAttempted++
+		rc := s.Ranks[v.Rank]
+		rc.Attempted++
+		s.RelAttempted++
 		if v.Success {
-			s.relSucceeded++
-			rc.succeeded++
+			s.RelSucceeded++
+			rc.Succeeded++
 			if v.Partial {
-				s.partialVisits++
+				s.PartialVisits++
 			}
 		} else {
-			s.relFailed++
+			s.RelFailed++
 			class := v.ErrorClass
 			if class == "" {
 				class = string(chaos.ClassifyText(v.Error))
 			}
-			s.byClass[class]++
+			s.ByClass[class]++
 		}
+		s.Ranks[v.Rank] = rc
 
 		// Overview D_BA block.
-		s.attempted[v.Site] = true
+		s.Attempted[v.Site] = true
 		if v.Success {
-			s.visited[v.Site] = true
+			s.Visited[v.Site] = true
 		}
 		if v.BannerDetected {
-			s.banners++
+			s.Banners++
 		}
 		if v.Accepted {
-			s.accepted[v.Site] = true
+			s.Accepted[v.Site] = true
 		}
 
 		// Languages: successful Before-Accept visits only.
 		if v.Success {
-			s.langVisited++
+			s.LangVisited++
 			switch {
 			case !v.BannerDetected:
-				s.langNoBanner++
+				s.LangNoBanner++
 			case v.Accepted:
 				lang := v.BannerLanguage
 				if lang == "" {
 					lang = "unknown"
 				}
-				s.acceptedByLang.Add(lang)
+				s.AcceptedByLang.Add(lang)
 			default:
-				s.langMissed++
+				s.LangMissed++
 			}
 		}
 	}
 	if aa && v.Success {
-		s.daaSites[v.Site] = true
+		s.DAASites[v.Site] = true
 	}
 
 	// Resources: presence (successful visits), third parties (D_BA, any
@@ -331,13 +306,13 @@ func (s *indexShard) add(v *dataset.Visit) {
 	hasGTM := false
 	var pres map[string]siteSet
 	if v.Success {
-		pres = phaseSets(s.present, v.Phase)
+		pres = phaseSets(s.Present, v.Phase)
 	}
 	for i := range v.Resources {
 		r := &v.Resources[i]
 		if r.Failed {
 			if r.Error == string(chaos.ClassCircuitOpen) {
-				s.circuitOpens++
+				s.CircuitOpens++
 			}
 			continue
 		}
@@ -351,7 +326,7 @@ func (s *indexShard) add(v *dataset.Visit) {
 			set[v.Site] = true
 		}
 		if ba && r.ThirdParty {
-			s.thirdParties[reg] = true
+			s.ThirdParties[reg] = true
 		}
 		if r.Host == gtmHost {
 			hasGTM = true
@@ -360,11 +335,11 @@ func (s *indexShard) add(v *dataset.Visit) {
 
 	// Calls: caller→site sets (any outcome), call types, anomaly and
 	// questionable classification.
-	calledPhase := phaseSets(s.called, v.Phase)
+	calledPhase := phaseSets(s.Called, v.Phase)
 	hasAnomalous, questionable := false, false
 	for i := range v.Calls {
 		c := &v.Calls[i]
-		facts := s.classify(c.Caller)
+		allowed := s.allowed(c.Caller)
 
 		set := calledPhase[c.Caller]
 		if set == nil {
@@ -373,67 +348,67 @@ func (s *indexShard) add(v *dataset.Visit) {
 		}
 		set[v.Site] = true
 
-		types := s.byPhase[v.Phase]
+		types := s.ByPhase[v.Phase]
 		if types == nil {
 			types = make(map[dataset.CallType]int)
-			s.byPhase[v.Phase] = types
+			s.ByPhase[v.Phase] = types
 		}
 		types[c.Type]++
 
-		if ba && facts.allowed {
+		if ba && allowed {
 			questionable = true
 		}
 		if !aa {
 			continue
 		}
-		if facts.allowed {
-			s.legitByType[c.Type]++
-			m := s.perCP[c.Caller]
+		if allowed {
+			s.LegitByType[c.Type]++
+			m := s.PerCP[c.Caller]
 			if m == nil {
 				m = make(map[dataset.CallType]int)
-				s.perCP[c.Caller] = m
+				s.PerCP[c.Caller] = m
 			}
 			m[c.Type]++
 			if v.Success {
-				set := s.aaLegitCalled[c.Caller]
+				set := s.AALegitCalled[c.Caller]
 				if set == nil {
 					set = make(siteSet)
-					s.aaLegitCalled[c.Caller] = set
+					s.AALegitCalled[c.Caller] = set
 				}
 				set[v.Site] = true
 			}
 		} else {
-			s.anomByType[c.Type]++
+			s.AnomByType[c.Type]++
 			if v.Success {
-				s.anomCalls++
-				s.anomCPs[c.Caller] = true
+				s.AnomCalls++
+				s.AnomCPs[c.Caller] = true
 				hasAnomalous = true
 				if s.cache.SameSecondLevel(c.Caller, v.Site) {
-					s.sameSLD++
+					s.SameSLD++
 				}
 				if c.Type == dataset.CallJavaScript {
-					s.jsCalls++
+					s.JSCalls++
 				}
 			}
 		}
 	}
 	if aa && v.Success && hasAnomalous {
-		s.anomSites[v.Site] = true
+		s.AnomSites[v.Site] = true
 		if hasGTM {
-			s.gtmSites[v.Site] = true
+			s.GTMSites[v.Site] = true
 		}
 	}
 
 	// Figure 7: successful Before-Accept visits.
 	if ba && v.Success {
-		s.f7Total++
+		s.F7Total++
 		if questionable {
-			s.f7Quest++
+			s.F7Quest++
 		}
 		if v.CMP != "" {
-			s.sitesByCMP.Add(v.CMP)
+			s.SitesByCMP.Add(v.CMP)
 			if questionable {
-				s.questByCMP.Add(v.CMP)
+				s.QuestByCMP.Add(v.CMP)
 			}
 		}
 	}
@@ -442,164 +417,159 @@ func (s *indexShard) add(v *dataset.Visit) {
 	// Visit timestamps sit on the deterministic stage clocks, so the
 	// bucketing is as reproducible as everything else.
 	if !v.FetchedAt.IsZero() {
-		if s.epochs == nil {
-			s.epochs = make(map[int]*epochCount)
-		}
 		ep := int(v.FetchedAt.Unix() / epochSeconds)
-		ec := s.epochs[ep]
-		if ec == nil {
-			ec = &epochCount{callers: make(map[string]bool), sites: make(siteSet)}
-			s.epochs[ep] = ec
+		ec := s.Epochs[ep]
+		if ec.Callers == nil {
+			ec.Callers = make(map[string]bool)
 		}
-		ec.visits++
-		ec.calls += len(v.Calls)
+		if ec.Sites == nil {
+			ec.Sites = make(siteSet)
+		}
+		ec.Visits++
+		ec.Calls += len(v.Calls)
 		for i := range v.Calls {
-			ec.callers[v.Calls[i].Caller] = true
+			ec.Callers[v.Calls[i].Caller] = true
 		}
 		if aa && len(v.Calls) > 0 {
-			ec.sites[v.Site] = true
+			ec.Sites[v.Site] = true
 		}
+		s.Epochs[ep] = ec
 	}
 }
 
-// absorb merges another shard into s. Every operation is commutative, so
-// the merge order cannot influence the result.
-func (s *indexShard) absorb(o *indexShard) {
-	for phase, sets := range o.called {
-		mergeSiteSets(phaseSets(s.called, phase), sets)
+// absorb merges o into s and returns s. Every operation is commutative,
+// so the merge order cannot influence the result. s never keeps a
+// reference into o — a map of o is copied the first time its key lands
+// in s — which makes absorb the one way accumulator state is copied: a
+// clone is a fresh accumulator absorbing the original, a restored
+// snapshot is one absorbing the decoded file (which also fills any map
+// the file lacks), and a merge leaves its partials untouched.
+func (s *indexShard) absorb(o *indexShard) *indexShard {
+	for phase, sets := range o.Called {
+		s.Called[phase] = mergeSets(s.Called[phase], sets)
 	}
-	for phase, sets := range o.present {
-		mergeSiteSets(phaseSets(s.present, phase), sets)
+	for phase, sets := range o.Present {
+		s.Present[phase] = mergeSets(s.Present[phase], sets)
 	}
-	for caller, facts := range o.callers {
-		s.callers[caller] = facts
+	maps.Copy(s.Allowed, o.Allowed)
+
+	s.Attempted = union(s.Attempted, o.Attempted)
+	s.Visited = union(s.Visited, o.Visited)
+	s.Accepted = union(s.Accepted, o.Accepted)
+	s.ThirdParties = union(s.ThirdParties, o.ThirdParties)
+	s.DAASites = union(s.DAASites, o.DAASites)
+	s.AALegitCalled = mergeSets(s.AALegitCalled, o.AALegitCalled)
+	s.Banners += o.Banners
+
+	s.Retries += o.Retries
+	s.CircuitOpens += o.CircuitOpens
+	s.RelAttempted += o.RelAttempted
+	s.RelSucceeded += o.RelSucceeded
+	s.RelFailed += o.RelFailed
+	s.PartialVisits += o.PartialVisits
+	s.ByClass = addCounts(s.ByClass, o.ByClass)
+	for rank, rc := range o.Ranks {
+		dst := s.Ranks[rank]
+		dst.Attempted += rc.Attempted
+		dst.Succeeded += rc.Succeeded
+		s.Ranks[rank] = dst
+	}
+	s.MaxRank = max(s.MaxRank, o.MaxRank)
+
+	s.AnomCalls += o.AnomCalls
+	s.SameSLD += o.SameSLD
+	s.JSCalls += o.JSCalls
+	s.AnomCPs = union(s.AnomCPs, o.AnomCPs)
+	s.AnomSites = union(s.AnomSites, o.AnomSites)
+	s.GTMSites = union(s.GTMSites, o.GTMSites)
+
+	s.F7Total += o.F7Total
+	s.F7Quest += o.F7Quest
+	s.SitesByCMP = addCounts(s.SitesByCMP, o.SitesByCMP)
+	s.QuestByCMP = addCounts(s.QuestByCMP, o.QuestByCMP)
+
+	for phase, types := range o.ByPhase {
+		s.ByPhase[phase] = addCounts(s.ByPhase[phase], types)
+	}
+	s.LegitByType = addCounts(s.LegitByType, o.LegitByType)
+	s.AnomByType = addCounts(s.AnomByType, o.AnomByType)
+	for cp, types := range o.PerCP {
+		s.PerCP[cp] = addCounts(s.PerCP[cp], types)
 	}
 
-	unionSet(s.attempted, o.attempted)
-	unionSet(s.visited, o.visited)
-	unionSet(s.accepted, o.accepted)
-	unionSet(s.thirdParties, o.thirdParties)
-	unionSet(s.daaSites, o.daaSites)
-	mergeSiteSets(s.aaLegitCalled, o.aaLegitCalled)
-	s.banners += o.banners
+	s.LangVisited += o.LangVisited
+	s.LangNoBanner += o.LangNoBanner
+	s.LangMissed += o.LangMissed
+	s.AcceptedByLang = addCounts(s.AcceptedByLang, o.AcceptedByLang)
 
-	s.retries += o.retries
-	s.circuitOpens += o.circuitOpens
-	s.relAttempted += o.relAttempted
-	s.relSucceeded += o.relSucceeded
-	s.relFailed += o.relFailed
-	s.partialVisits += o.partialVisits
-	for class, n := range o.byClass {
-		s.byClass[class] += n
+	for ep, ec := range o.Epochs {
+		dst := s.Epochs[ep]
+		dst.Visits += ec.Visits
+		dst.Calls += ec.Calls
+		dst.Callers = union(dst.Callers, ec.Callers)
+		dst.Sites = union(dst.Sites, ec.Sites)
+		s.Epochs[ep] = dst
 	}
-	for rank, rc := range o.ranks {
-		dst := s.ranks[rank]
-		if dst == nil {
-			s.ranks[rank] = rc
-			continue
-		}
-		dst.attempted += rc.attempted
-		dst.succeeded += rc.succeeded
-	}
-	if o.maxRank > s.maxRank {
-		s.maxRank = o.maxRank
-	}
-
-	s.anomCalls += o.anomCalls
-	s.sameSLD += o.sameSLD
-	s.jsCalls += o.jsCalls
-	unionSet(s.anomCPs, o.anomCPs)
-	unionSet(s.anomSites, o.anomSites)
-	unionSet(s.gtmSites, o.gtmSites)
-
-	s.f7Total += o.f7Total
-	s.f7Quest += o.f7Quest
-	addCounter(s.sitesByCMP, o.sitesByCMP)
-	addCounter(s.questByCMP, o.questByCMP)
-
-	for phase, types := range o.byPhase {
-		dst := s.byPhase[phase]
-		if dst == nil {
-			s.byPhase[phase] = types
-			continue
-		}
-		for t, n := range types {
-			dst[t] += n
-		}
-	}
-	for t, n := range o.legitByType {
-		s.legitByType[t] += n
-	}
-	for t, n := range o.anomByType {
-		s.anomByType[t] += n
-	}
-	for cp, types := range o.perCP {
-		dst := s.perCP[cp]
-		if dst == nil {
-			s.perCP[cp] = types
-			continue
-		}
-		for t, n := range types {
-			dst[t] += n
-		}
-	}
-
-	s.langVisited += o.langVisited
-	s.langNoBanner += o.langNoBanner
-	s.langMissed += o.langMissed
-	addCounter(s.acceptedByLang, o.acceptedByLang)
-
-	for ep, ec := range o.epochs {
-		if s.epochs == nil {
-			s.epochs = make(map[int]*epochCount)
-		}
-		dst := s.epochs[ep]
-		if dst == nil {
-			s.epochs[ep] = ec
-			continue
-		}
-		dst.visits += ec.visits
-		dst.calls += ec.calls
-		unionSet(dst.callers, ec.callers)
-		unionSet(dst.sites, ec.sites)
-	}
+	return s
 }
 
-func mergeSiteSets(dst, src map[string]siteSet) {
-	for key, set := range src {
-		d := dst[key]
-		if d == nil {
-			dst[key] = set
-			continue
-		}
-		unionSet(d, set)
+// union adds src's members to dst and returns the result: dst itself,
+// or — when dst is empty — a new map sized for src, so the result never
+// aliases src.
+func union[K comparable](dst, src map[K]bool) map[K]bool {
+	if len(dst) == 0 && src != nil {
+		dst = make(map[K]bool, len(src))
 	}
-}
-
-func unionSet(dst, src map[string]bool) {
 	for k := range src {
 		dst[k] = true
 	}
+	return dst
 }
 
-func addCounter(dst, src stats.Counter) {
+// addCounts adds src's counts to dst and returns the result, allocating
+// a new map instead of aliasing src when dst is empty (as union does).
+func addCounts[M ~map[K]int, K comparable](dst, src M) M {
+	if len(dst) == 0 && src != nil {
+		dst = make(M, len(src))
+	}
 	for k, n := range src {
 		dst[k] += n
 	}
+	return dst
 }
 
-// finalize assembles the parameterless experiment results from the
-// merged aggregates, matching the legacy computations field for field.
-func (idx *Index) finalize(in *Input, agg *indexShard) {
+// mergeSets unions src's site sets into dst's, key by key, and returns
+// the result (a new map sized for src when dst is empty, as in union).
+func mergeSets(dst, src map[string]siteSet) map[string]siteSet {
+	if len(dst) == 0 {
+		dst = make(map[string]siteSet, len(src))
+	}
+	for key, set := range src {
+		dst[key] = union(dst[key], set)
+	}
+	return dst
+}
+
+// finalize assembles the Index — the parameterless experiment results,
+// matching the legacy computations field for field — from the
+// accumulator and in's allow-list block and attestation checks. It only
+// reads s, but the Index shares s's maps, so an accumulator that keeps
+// folding is finalized through a copy (see LiveIndex.Snapshot).
+func (s *indexShard) finalize(in *Input) *Index {
+	idx := &Index{
+		etld:    s.cache,
+		called:  s.Called,
+		present: s.Present,
+		callers: make(map[string]callerFacts, len(s.Allowed)),
+	}
 	// Resolve the attestation half of every caller's classification.
 	// Folding recorded only the allow-list bit (the attestation sweep
 	// happens after the crawl — a live index folds long before the
 	// records it will be judged against exist); the input handed to
 	// finalize carries the campaign-global attestation checks.
-	for caller, facts := range idx.callers {
-		rec, ok := in.Attestations[idx.etld.Registrable(caller)]
-		facts.attested = ok && rec.Attested()
-		idx.callers[caller] = facts
+	for caller, allowed := range s.Allowed {
+		rec, ok := in.Attestations[s.cache.Registrable(caller)]
+		idx.callers[caller] = callerFacts{allowed: allowed, attested: ok && rec.Attested()}
 	}
 
 	// Table 1 allow-list block + Figure 2's candidate list.
@@ -641,42 +611,42 @@ func (idx *Index) finalize(in *Input, agg *indexShard) {
 	// the legacy scan applies per call, regrouped by caller so the
 	// attested factor could wait for the sweep.
 	daaSitesWithCall := make(siteSet)
-	for caller, sites := range agg.aaLegitCalled {
+	for caller, sites := range s.AALegitCalled {
 		if idx.callers[caller].attested {
-			unionSet(daaSitesWithCall, sites)
+			maps.Copy(daaSitesWithCall, sites)
 		}
 	}
 	idx.overview = Overview{
-		Attempted:          len(agg.attempted),
-		Visited:            len(agg.visited),
-		Accepted:           len(agg.accepted),
-		AcceptShare:        stats.Share(len(agg.accepted), len(agg.visited)),
-		UniqueThirdParties: len(agg.thirdParties),
-		BannersFound:       agg.banners,
+		Attempted:          len(s.Attempted),
+		Visited:            len(s.Visited),
+		Accepted:           len(s.Accepted),
+		AcceptShare:        stats.Share(len(s.Accepted), len(s.Visited)),
+		UniqueThirdParties: len(s.ThirdParties),
+		BannersFound:       s.Banners,
 		SitesWithLegitCall: len(daaSitesWithCall),
-		LegitCallShare:     stats.Share(len(daaSitesWithCall), len(agg.daaSites)),
+		LegitCallShare:     stats.Share(len(daaSitesWithCall), len(s.DAASites)),
 	}
 
 	// Reliability, deciles reassembled from the per-rank counts now that
 	// the global max rank is known.
 	r := Reliability{
-		Attempted:     agg.relAttempted,
-		Succeeded:     agg.relSucceeded,
-		Failed:        agg.relFailed,
-		SuccessRate:   stats.Share(agg.relSucceeded, agg.relAttempted),
-		ByClass:       agg.byClass,
-		Retries:       agg.retries,
-		PartialVisits: agg.partialVisits,
-		CircuitOpens:  agg.circuitOpens,
+		Attempted:     s.RelAttempted,
+		Succeeded:     s.RelSucceeded,
+		Failed:        s.RelFailed,
+		SuccessRate:   stats.Share(s.RelSucceeded, s.RelAttempted),
+		ByClass:       s.ByClass,
+		Retries:       s.Retries,
+		PartialVisits: s.PartialVisits,
+		CircuitOpens:  s.CircuitOpens,
 	}
 	deciles := make([]ReliabilityDecile, 10)
 	for i := range deciles {
 		deciles[i].Decile = i + 1
 	}
-	for rank, rc := range agg.ranks {
-		d := &deciles[decileOf(rank, agg.maxRank)]
-		d.Attempted += rc.attempted
-		d.Succeeded += rc.succeeded
+	for rank, rc := range s.Ranks {
+		d := &deciles[decileOf(rank, s.MaxRank)]
+		d.Attempted += rc.Attempted
+		d.Succeeded += rc.Succeeded
 	}
 	for i := range deciles {
 		deciles[i].SuccessRate = stats.Share(deciles[i].Succeeded, deciles[i].Attempted)
@@ -688,52 +658,52 @@ func (idx *Index) finalize(in *Input, agg *indexShard) {
 
 	// Anomaly.
 	idx.anomaly = Anomaly{
-		UniqueCPs:            len(agg.anomCPs),
-		Calls:                agg.anomCalls,
-		SameSecondLevel:      agg.sameSLD,
-		SameSecondLevelShare: stats.Share(agg.sameSLD, agg.anomCalls),
-		JavaScriptShare:      stats.Share(agg.jsCalls, agg.anomCalls),
-		AnomalousSites:       len(agg.anomSites),
-		SitesWithGTM:         len(agg.gtmSites),
-		GTMShare:             stats.Share(len(agg.gtmSites), len(agg.anomSites)),
+		UniqueCPs:            len(s.AnomCPs),
+		Calls:                s.AnomCalls,
+		SameSecondLevel:      s.SameSLD,
+		SameSecondLevelShare: stats.Share(s.SameSLD, s.AnomCalls),
+		JavaScriptShare:      stats.Share(s.JSCalls, s.AnomCalls),
+		AnomalousSites:       len(s.AnomSites),
+		SitesWithGTM:         len(s.GTMSites),
+		GTMShare:             stats.Share(len(s.GTMSites), len(s.AnomSites)),
 	}
 
 	// Figure 7, rows in cmpdb order.
 	f7 := Figure7{
-		TotalSites:          agg.f7Total,
-		TotalQuestionable:   agg.f7Quest,
-		AvgQuestionableRate: stats.Share(agg.f7Quest, agg.f7Total),
+		TotalSites:          s.F7Total,
+		TotalQuestionable:   s.F7Quest,
+		AvgQuestionableRate: stats.Share(s.F7Quest, s.F7Total),
 	}
 	for _, c := range cmpdb.All() {
 		f7.Rows = append(f7.Rows, CMPRow{
 			CMP:                   c.Name,
-			Sites:                 agg.sitesByCMP[c.Name],
-			QuestionableSites:     agg.questByCMP[c.Name],
-			PCMP:                  stats.Share(agg.sitesByCMP[c.Name], agg.f7Total),
-			PCMPGivenQuestionable: stats.Share(agg.questByCMP[c.Name], agg.f7Quest),
-			PQuestionableGivenCMP: stats.Share(agg.questByCMP[c.Name], agg.sitesByCMP[c.Name]),
+			Sites:                 s.SitesByCMP[c.Name],
+			QuestionableSites:     s.QuestByCMP[c.Name],
+			PCMP:                  stats.Share(s.SitesByCMP[c.Name], s.F7Total),
+			PCMPGivenQuestionable: stats.Share(s.QuestByCMP[c.Name], s.F7Quest),
+			PQuestionableGivenCMP: stats.Share(s.QuestByCMP[c.Name], s.SitesByCMP[c.Name]),
 		})
 	}
 	idx.figure7 = f7
 
 	// Call types.
 	ct := CallTypes{
-		ByPhase:         agg.byPhase,
-		LegitByType:     agg.legitByType,
-		AnomalousByType: agg.anomByType,
-		DominantPerCP:   make(map[string]dataset.CallType, len(agg.perCP)),
+		ByPhase:         s.ByPhase,
+		LegitByType:     s.LegitByType,
+		AnomalousByType: s.AnomByType,
+		DominantPerCP:   make(map[string]dataset.CallType, len(s.PerCP)),
 	}
-	for cp, m := range agg.perCP {
+	for cp, m := range s.PerCP {
 		ct.DominantPerCP[cp] = dominantType(m)
 	}
 	idx.callTypes = ct
 
 	// Languages.
 	idx.languages = Languages{
-		Visited:            agg.langVisited,
-		NoBanner:           agg.langNoBanner,
-		AcceptedByLanguage: agg.acceptedByLang,
-		MissedBanner:       agg.langMissed,
+		Visited:            s.LangVisited,
+		NoBanner:           s.LangNoBanner,
+		AcceptedByLanguage: s.AcceptedByLang,
+		MissedBanner:       s.LangMissed,
 	}
 
 	// Enrolment reads the attestation checks, not the visits; computing
@@ -755,7 +725,20 @@ func (idx *Index) finalize(in *Input, agg *indexShard) {
 	idx.enrolment = e
 
 	// Longitudinal trajectory: virtual-week buckets in time order.
-	idx.trajectory = assembleTrajectory(agg.epochs)
+	idx.trajectory = assembleTrajectory(s.Epochs)
+	return idx
+}
+
+// dominantType picks a CP's most-used call type, ties broken by the
+// AllCallTypes display order.
+func dominantType(m map[dataset.CallType]int) dataset.CallType {
+	best, bestN := dataset.CallJavaScript, -1
+	for _, typ := range AllCallTypes {
+		if m[typ] > bestN {
+			best, bestN = typ, m[typ]
+		}
+	}
+	return best
 }
 
 // Hosts returns the number of distinct hostnames interned by the index's

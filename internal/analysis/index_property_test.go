@@ -57,8 +57,7 @@ func TestIndexShardMergeProperty(t *testing.T) {
 		for _, j := range order[1:] {
 			agg.absorb(shards[j])
 		}
-		idx := &Index{etld: cache, called: agg.called, present: agg.present, callers: agg.callers}
-		idx.finalize(in, agg)
+		idx := agg.finalize(in)
 
 		for _, cmp := range []struct {
 			name     string
@@ -94,7 +93,5 @@ func sequentialIndex(in *Input) *Index {
 	for i := range in.Data.Visits {
 		s.add(&in.Data.Visits[i])
 	}
-	idx := &Index{etld: cache, called: s.called, present: s.present, callers: s.callers}
-	idx.finalize(in, s)
-	return idx
+	return s.finalize(in)
 }

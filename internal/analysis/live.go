@@ -5,15 +5,15 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"maps"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 
 	"github.com/netmeasure/topicscope/internal/attestation"
 	"github.com/netmeasure/topicscope/internal/dataset"
 	"github.com/netmeasure/topicscope/internal/durable"
 	"github.com/netmeasure/topicscope/internal/etld"
-	"github.com/netmeasure/topicscope/internal/stats"
 )
 
 // LiveIndex is the analysis index in its incremental form: an indexShard
@@ -33,7 +33,6 @@ import (
 // deterministic for free.
 type LiveIndex struct {
 	in     *Input
-	cache  *etld.Cache
 	agg    *indexShard
 	visits int
 }
@@ -42,8 +41,7 @@ type LiveIndex struct {
 // the allow-list (classification) and optionally Metrics; Attestations
 // may be nil — they are resolved at Snapshot time.
 func NewLiveIndex(in *Input) *LiveIndex {
-	cache := etld.NewCache()
-	return &LiveIndex{in: in, cache: cache, agg: newIndexShard(in, cache)}
+	return &LiveIndex{in: in, agg: newIndexShard(in, etld.NewCache())}
 }
 
 // Fold adds one visit record to the accumulator.
@@ -59,127 +57,24 @@ func (l *LiveIndex) Visits() int { return l.visits }
 // the same set crawler.CallerDomains extracts from a collected dataset,
 // so a live consumer can run the attestation sweep without the visits.
 func (l *LiveIndex) Callers() []string {
-	out := make([]string, 0, len(l.agg.callers))
-	for c := range l.agg.callers {
-		out = append(out, c)
-	}
-	sort.Strings(out)
-	return out
+	return slices.Sorted(maps.Keys(l.agg.Allowed))
 }
 
 // Shard exposes the accumulator as a mergeable partial for
-// MergeShardIndexes. The partial shares the accumulator's state; fold
-// only after the merge's finalize has run on cloned state (or not at
-// all), as with any ShardIndex.
+// MergeShardIndexes, which never modifies or keeps a partial's state:
+// folding may continue after the merge.
 func (l *LiveIndex) Shard() *ShardIndex {
-	return &ShardIndex{agg: l.agg, cache: l.cache, visits: l.visits}
+	return &ShardIndex{agg: l.agg, visits: l.visits}
 }
 
 // Snapshot finalizes the accumulator into a full Index against the
 // given input (which supplies the allow-list block and the attestation
-// checks) without consuming it: the aggregates are deep-copied first,
-// so folding continues cleanly afterwards — the monitor renders a
-// report every refresh while the campaign appends.
+// checks) without consuming it: the Index is finalized from a copy (a
+// fresh accumulator absorbing this one), so folding continues cleanly
+// afterwards — the monitor renders a report every refresh while the
+// campaign appends.
 func (l *LiveIndex) Snapshot(in *Input) *Index {
-	agg := l.agg.clone(in)
-	idx := &Index{
-		etld:    l.cache,
-		called:  agg.called,
-		present: agg.present,
-		callers: agg.callers,
-	}
-	idx.finalize(in, agg)
-	return idx
-}
-
-// clone deep-copies every aggregate so finalize (which resolves
-// attestation facts into the caller map) and later folds cannot see
-// each other.
-func (s *indexShard) clone(in *Input) *indexShard {
-	c := newIndexShard(in, s.cache)
-	for phase, sets := range s.called {
-		c.called[phase] = cloneSiteSets(sets)
-	}
-	for phase, sets := range s.present {
-		c.present[phase] = cloneSiteSets(sets)
-	}
-	for caller, facts := range s.callers {
-		c.callers[caller] = facts
-	}
-	c.attempted = cloneSet(s.attempted)
-	c.visited = cloneSet(s.visited)
-	c.accepted = cloneSet(s.accepted)
-	c.thirdParties = cloneSet(s.thirdParties)
-	c.daaSites = cloneSet(s.daaSites)
-	c.aaLegitCalled = cloneSiteSets(s.aaLegitCalled)
-	c.banners = s.banners
-
-	c.retries = s.retries
-	c.circuitOpens = s.circuitOpens
-	c.relAttempted = s.relAttempted
-	c.relSucceeded = s.relSucceeded
-	c.relFailed = s.relFailed
-	c.partialVisits = s.partialVisits
-	c.byClass = copyStringCounts(s.byClass)
-	for rank, rc := range s.ranks {
-		c.ranks[rank] = &rankCount{attempted: rc.attempted, succeeded: rc.succeeded}
-	}
-	c.maxRank = s.maxRank
-
-	c.anomCalls = s.anomCalls
-	c.sameSLD = s.sameSLD
-	c.jsCalls = s.jsCalls
-	c.anomCPs = cloneSet(s.anomCPs)
-	c.anomSites = cloneSet(s.anomSites)
-	c.gtmSites = cloneSet(s.gtmSites)
-
-	c.f7Total = s.f7Total
-	c.f7Quest = s.f7Quest
-	c.sitesByCMP = copyCounter(s.sitesByCMP)
-	c.questByCMP = copyCounter(s.questByCMP)
-
-	for phase, types := range s.byPhase {
-		c.byPhase[phase] = copyTypeCounts(types)
-	}
-	c.legitByType = copyTypeCounts(s.legitByType)
-	c.anomByType = copyTypeCounts(s.anomByType)
-	for cp, types := range s.perCP {
-		c.perCP[cp] = copyTypeCounts(types)
-	}
-
-	c.langVisited = s.langVisited
-	c.langNoBanner = s.langNoBanner
-	c.langMissed = s.langMissed
-	c.acceptedByLang = copyCounter(s.acceptedByLang)
-
-	if s.epochs != nil {
-		c.epochs = make(map[int]*epochCount, len(s.epochs))
-		for ep, ec := range s.epochs {
-			c.epochs[ep] = &epochCount{
-				visits:  ec.visits,
-				calls:   ec.calls,
-				callers: cloneSet(ec.callers),
-				sites:   cloneSet(ec.sites),
-			}
-		}
-	}
-	return c
-}
-
-func cloneSet(src map[string]bool) map[string]bool {
-	out := make(map[string]bool, len(src))
-	for k := range src {
-		out[k] = true
-	}
-	return out
-}
-
-func cloneSiteSets(src map[string]siteSet) map[string]siteSet {
-	out := make(map[string]siteSet, len(src))
-	for k, set := range src {
-		out[k] = cloneSet(set)
-	}
-	return out
+	return newIndexShard(in, l.agg.cache).absorb(l.agg).finalize(in)
 }
 
 // LiveSnapshotVersion is the `<journal>.idx` schema version.
@@ -195,12 +90,13 @@ func RemoveIndexSnapshot(journalPath string) {
 }
 
 // liveSnapshot is the serialized form of a LiveIndex, written beside the
-// journal at every checkpoint. Everything is a JSON map or counter —
-// encoding/json sorts map keys, so the bytes are deterministic for a
-// given accumulator state. The header ties the snapshot to one exact
-// committed journal state (records + payload CRC) and to the allow-list
-// the classification was folded against; any mismatch on load degrades
-// the reader to a full scan, mirroring the manifest's
+// journal at every checkpoint: a header, then the accumulator's own JSON
+// encoding (indexShard's tagged fields). Everything is a JSON map or
+// counter — encoding/json sorts map keys, so the bytes are deterministic
+// for a given accumulator state. The header ties the snapshot to one
+// exact committed journal state (records + payload CRC) and to the
+// allow-list the classification was folded against; any mismatch on
+// load degrades the reader to a full scan, mirroring the manifest's
 // accelerator-never-authority contract.
 type liveSnapshot struct {
 	Version      int    `json:"version"`
@@ -210,63 +106,9 @@ type liveSnapshot struct {
 	AllowlistCRC uint32 `json:"allowlist_crc"`
 	Visits       int    `json:"visits"`
 
-	Called  map[dataset.Phase]map[string]siteSet `json:"called"`
-	Present map[dataset.Phase]map[string]siteSet `json:"present"`
-	Allowed map[string]bool                      `json:"allowed"`
-
-	Attempted     siteSet            `json:"attempted"`
-	Visited       siteSet            `json:"visited"`
-	Accepted      siteSet            `json:"accepted"`
-	ThirdParties  map[string]bool    `json:"third_parties"`
-	DAASites      siteSet            `json:"daa_sites"`
-	AALegitCalled map[string]siteSet `json:"aa_legit_called"`
-	Banners       int                `json:"banners"`
-
-	Retries       int              `json:"retries"`
-	CircuitOpens  int              `json:"circuit_opens"`
-	RelAttempted  int              `json:"rel_attempted"`
-	RelSucceeded  int              `json:"rel_succeeded"`
-	RelFailed     int              `json:"rel_failed"`
-	PartialVisits int              `json:"partial_visits"`
-	ByClass       map[string]int   `json:"by_class"`
-	Ranks         map[int]rankSnap `json:"ranks"`
-	MaxRank       int              `json:"max_rank"`
-
-	AnomCalls int     `json:"anom_calls"`
-	SameSLD   int     `json:"same_sld"`
-	JSCalls   int     `json:"js_calls"`
-	AnomCPs   siteSet `json:"anom_cps"`
-	AnomSites siteSet `json:"anom_sites"`
-	GTMSites  siteSet `json:"gtm_sites"`
-
-	F7Total    int           `json:"f7_total"`
-	F7Quest    int           `json:"f7_quest"`
-	SitesByCMP stats.Counter `json:"sites_by_cmp"`
-	QuestByCMP stats.Counter `json:"quest_by_cmp"`
-
-	ByPhase     map[dataset.Phase]map[dataset.CallType]int `json:"by_phase"`
-	LegitByType map[dataset.CallType]int                   `json:"legit_by_type"`
-	AnomByType  map[dataset.CallType]int                   `json:"anom_by_type"`
-	PerCP       map[string]map[dataset.CallType]int        `json:"per_cp"`
-
-	LangVisited    int           `json:"lang_visited"`
-	LangNoBanner   int           `json:"lang_no_banner"`
-	LangMissed     int           `json:"lang_missed"`
-	AcceptedByLang stats.Counter `json:"accepted_by_lang"`
-
-	Epochs map[int]epochSnap `json:"epochs"`
-}
-
-type rankSnap struct {
-	Attempted int `json:"a"`
-	Succeeded int `json:"s"`
-}
-
-type epochSnap struct {
-	Visits  int             `json:"visits"`
-	Calls   int             `json:"calls"`
-	Callers map[string]bool `json:"callers"`
-	Sites   siteSet         `json:"sites"`
+	// Embedded by value: encoding/json cannot decode into an embedded
+	// pointer to an unexported struct type.
+	indexShard
 }
 
 // allowlistCRC fingerprints the allow-list a fold classified against, so
@@ -281,76 +123,6 @@ func allowlistCRC(allow *attestation.Allowlist) uint32 {
 		crc = crc32.Update(crc, crc32.IEEETable, []byte{'\n'})
 	}
 	return crc
-}
-
-// snapshot assembles the serialized form. The maps are shared with the
-// accumulator (encoding reads, never writes), so building it is O(1)
-// in the dataset and the encode is O(index).
-func (l *LiveIndex) snapshot(ck durable.Checkpoint) *liveSnapshot {
-	s := l.agg
-	snap := &liveSnapshot{
-		Version:      LiveSnapshotVersion,
-		Records:      ck.Records,
-		PayloadCRC:   ck.PayloadCRC,
-		AllowlistCRC: allowlistCRC(l.in.Allowlist),
-		Visits:       l.visits,
-
-		Called:  s.called,
-		Present: s.present,
-		Allowed: make(map[string]bool, len(s.callers)),
-
-		Attempted:     s.attempted,
-		Visited:       s.visited,
-		Accepted:      s.accepted,
-		ThirdParties:  s.thirdParties,
-		DAASites:      s.daaSites,
-		AALegitCalled: s.aaLegitCalled,
-		Banners:       s.banners,
-
-		Retries:       s.retries,
-		CircuitOpens:  s.circuitOpens,
-		RelAttempted:  s.relAttempted,
-		RelSucceeded:  s.relSucceeded,
-		RelFailed:     s.relFailed,
-		PartialVisits: s.partialVisits,
-		ByClass:       s.byClass,
-		Ranks:         make(map[int]rankSnap, len(s.ranks)),
-		MaxRank:       s.maxRank,
-
-		AnomCalls: s.anomCalls,
-		SameSLD:   s.sameSLD,
-		JSCalls:   s.jsCalls,
-		AnomCPs:   s.anomCPs,
-		AnomSites: s.anomSites,
-		GTMSites:  s.gtmSites,
-
-		F7Total:    s.f7Total,
-		F7Quest:    s.f7Quest,
-		SitesByCMP: s.sitesByCMP,
-		QuestByCMP: s.questByCMP,
-
-		ByPhase:     s.byPhase,
-		LegitByType: s.legitByType,
-		AnomByType:  s.anomByType,
-		PerCP:       s.perCP,
-
-		LangVisited:    s.langVisited,
-		LangNoBanner:   s.langNoBanner,
-		LangMissed:     s.langMissed,
-		AcceptedByLang: s.acceptedByLang,
-
-		Epochs: make(map[int]epochSnap, len(s.epochs)),
-	}
-	for caller, facts := range s.callers {
-		snap.Allowed[caller] = facts.allowed
-	}
-	for rank, rc := range s.ranks {
-		snap.Ranks[rank] = rankSnap{Attempted: rc.attempted, Succeeded: rc.succeeded}
-	}
-	for ep, ec := range s.epochs {
-		snap.Epochs[ep] = epochSnap{Visits: ec.visits, Calls: ec.calls, Callers: ec.callers, Sites: ec.sites}
-	}
-	return snap
 }
 
 // decodeLiveSnapshot strictly decodes and validates snapshot bytes.
@@ -372,123 +144,22 @@ func decodeLiveSnapshot(data []byte) (*liveSnapshot, error) {
 }
 
 // StoreSnapshot atomically writes the accumulator's serialized form
-// beside the journal, tied to the given committed checkpoint.
+// beside the journal, tied to the given committed checkpoint. The
+// snapshot shares the accumulator's maps (encoding reads, never
+// writes), so the only cost is the encode.
 func (l *LiveIndex) StoreSnapshot(journalPath string, ck durable.Checkpoint) error {
-	snap := l.snapshot(ck)
-	snap.Journal = filepath.Base(journalPath)
+	snap := &liveSnapshot{
+		Version:      LiveSnapshotVersion,
+		Journal:      filepath.Base(journalPath),
+		Records:      ck.Records,
+		PayloadCRC:   ck.PayloadCRC,
+		AllowlistCRC: allowlistCRC(l.in.Allowlist),
+		Visits:       l.visits,
+		indexShard:   *l.agg,
+	}
 	return durable.WriteFileAtomicFS(l.in.FS, IndexSnapshotPath(journalPath), func(w io.Writer) error {
-		enc := json.NewEncoder(w)
-		return enc.Encode(snap)
+		return json.NewEncoder(w).Encode(snap)
 	})
-}
-
-// restore rebuilds the accumulator from a decoded snapshot. Maps absent
-// from the file stay as newIndexShard's empty ones.
-func restoreLiveIndex(in *Input, snap *liveSnapshot) *LiveIndex {
-	l := NewLiveIndex(in)
-	s := l.agg
-	l.visits = snap.Visits
-
-	for phase, sets := range snap.Called {
-		s.called[phase] = sets
-	}
-	for phase, sets := range snap.Present {
-		s.present[phase] = sets
-	}
-	for caller, allowed := range snap.Allowed {
-		s.callers[caller] = callerFacts{allowed: allowed}
-	}
-	if snap.Attempted != nil {
-		s.attempted = snap.Attempted
-	}
-	if snap.Visited != nil {
-		s.visited = snap.Visited
-	}
-	if snap.Accepted != nil {
-		s.accepted = snap.Accepted
-	}
-	if snap.ThirdParties != nil {
-		s.thirdParties = snap.ThirdParties
-	}
-	if snap.DAASites != nil {
-		s.daaSites = snap.DAASites
-	}
-	if snap.AALegitCalled != nil {
-		s.aaLegitCalled = snap.AALegitCalled
-	}
-	s.banners = snap.Banners
-
-	s.retries = snap.Retries
-	s.circuitOpens = snap.CircuitOpens
-	s.relAttempted = snap.RelAttempted
-	s.relSucceeded = snap.RelSucceeded
-	s.relFailed = snap.RelFailed
-	s.partialVisits = snap.PartialVisits
-	if snap.ByClass != nil {
-		s.byClass = snap.ByClass
-	}
-	for rank, rc := range snap.Ranks {
-		s.ranks[rank] = &rankCount{attempted: rc.Attempted, succeeded: rc.Succeeded}
-	}
-	s.maxRank = snap.MaxRank
-
-	s.anomCalls = snap.AnomCalls
-	s.sameSLD = snap.SameSLD
-	s.jsCalls = snap.JSCalls
-	if snap.AnomCPs != nil {
-		s.anomCPs = snap.AnomCPs
-	}
-	if snap.AnomSites != nil {
-		s.anomSites = snap.AnomSites
-	}
-	if snap.GTMSites != nil {
-		s.gtmSites = snap.GTMSites
-	}
-
-	s.f7Total = snap.F7Total
-	s.f7Quest = snap.F7Quest
-	if snap.SitesByCMP != nil {
-		s.sitesByCMP = snap.SitesByCMP
-	}
-	if snap.QuestByCMP != nil {
-		s.questByCMP = snap.QuestByCMP
-	}
-
-	if snap.ByPhase != nil {
-		s.byPhase = snap.ByPhase
-	}
-	if snap.LegitByType != nil {
-		s.legitByType = snap.LegitByType
-	}
-	if snap.AnomByType != nil {
-		s.anomByType = snap.AnomByType
-	}
-	if snap.PerCP != nil {
-		s.perCP = snap.PerCP
-	}
-
-	s.langVisited = snap.LangVisited
-	s.langNoBanner = snap.LangNoBanner
-	s.langMissed = snap.LangMissed
-	if snap.AcceptedByLang != nil {
-		s.acceptedByLang = snap.AcceptedByLang
-	}
-
-	if len(snap.Epochs) > 0 {
-		s.epochs = make(map[int]*epochCount, len(snap.Epochs))
-		for ep, ec := range snap.Epochs {
-			callers := ec.Callers
-			if callers == nil {
-				callers = make(map[string]bool)
-			}
-			sites := ec.Sites
-			if sites == nil {
-				sites = make(siteSet)
-			}
-			s.epochs[ep] = &epochCount{visits: ec.Visits, calls: ec.Calls, callers: callers, sites: sites}
-		}
-	}
-	return l
 }
 
 // SnapshotInfo describes a restored index snapshot.
@@ -534,7 +205,13 @@ func LoadIndexSnapshot(journalPath string, in *Input) (*LiveIndex, *SnapshotInfo
 	if snap.AllowlistCRC != allowlistCRC(in.Allowlist) {
 		return nil, nil
 	}
-	return restoreLiveIndex(in, snap), &SnapshotInfo{
+	// The decoded accumulator is absorbed, not adopted: the restored
+	// one starts from newIndexShard, so a map the file lacks is empty
+	// rather than nil.
+	l := NewLiveIndex(in)
+	l.agg.absorb(&snap.indexShard)
+	l.visits = snap.Visits
+	return l, &SnapshotInfo{
 		Records:    snap.Records,
 		PayloadCRC: snap.PayloadCRC,
 		Visits:     snap.Visits,
@@ -590,12 +267,26 @@ func LoadLiveIndex(journalPath string, in *Input) (*LiveIndex, *LiveStats, error
 		st.SnapshotRecords = 0
 	}
 
+	if err := foldTail(journalPath, offset, live, -1, st); err != nil {
+		return nil, nil, err
+	}
+	in.Metrics.Add("analysis_live_tail_records_total", st.TailRecords)
+	return live, st, nil
+}
+
+// foldTail folds a journal's records from byte offset on into live,
+// stopping once live covers limit records (limit < 0: no limit), and
+// records what it folded and read in st.
+func foldTail(journalPath string, offset int64, live *LiveIndex, limit int64, st *LiveStats) error {
 	rc, cr, err := durable.OpenTail(journalPath, offset)
 	if err != nil {
-		return nil, nil, err
+		return err
 	}
 	defer rc.Close()
 	scan, err := durable.ScanRecords(rc, func(payload []byte) error {
+		if limit >= 0 && int64(live.visits) >= limit {
+			return nil
+		}
 		var v dataset.Visit
 		if uerr := json.Unmarshal(payload, &v); uerr != nil {
 			return fmt.Errorf("analysis: decoding journal record: %w", uerr)
@@ -605,12 +296,8 @@ func LoadLiveIndex(journalPath string, in *Input) (*LiveIndex, *LiveStats, error
 		return nil
 	})
 	st.BytesRead = cr.BytesRead()
-	if err != nil {
-		return nil, nil, err
-	}
 	st.Truncated = scan.Truncated
-	in.Metrics.Add("analysis_live_tail_records_total", st.TailRecords)
-	return live, st, nil
+	return err
 }
 
 // LoadLive assembles and finalizes the analysis index for a journal in
@@ -664,25 +351,7 @@ func OpenLiveSink(journalPath string, in *Input) (*LiveSink, *LiveStats, error) 
 		// observer): start empty.
 		return &LiveSink{path: journalPath, idx: live}, st, nil
 	}
-	rc, cr, err := durable.OpenTail(journalPath, 0)
-	if err != nil {
-		return nil, nil, err
-	}
-	defer rc.Close()
-	_, err = durable.ScanRecords(rc, func(payload []byte) error {
-		if int64(live.visits) >= m.Records {
-			return nil
-		}
-		var v dataset.Visit
-		if uerr := json.Unmarshal(payload, &v); uerr != nil {
-			return fmt.Errorf("analysis: decoding journal record: %w", uerr)
-		}
-		live.Fold(&v)
-		st.TailRecords++
-		return nil
-	})
-	st.BytesRead = cr.BytesRead()
-	if err != nil {
+	if err := foldTail(journalPath, 0, live, m.Records, st); err != nil {
 		return nil, nil, err
 	}
 	in.Metrics.Add("analysis_index_snapshot_rebuilds_total", 1)

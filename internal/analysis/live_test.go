@@ -3,6 +3,8 @@ package analysis
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"math/rand/v2"
 	"os"
@@ -453,4 +455,111 @@ func TestLiveSinkResumeAcrossCheckpoint(t *testing.T) {
 		Attestations: in.Attestations,
 	}
 	assertIndexEqual(t, "resumed sink", sink2.Live().Snapshot(in), full.Index())
+}
+
+// liveSnapshotSHA256 is the digest of the .idx file the chaos fixture
+// folds to through a checkpointed journal. The file is the
+// accumulator's JSON encoding, so any change to a field, a tag, the
+// field order or the empty-map encoding moves it.
+const liveSnapshotSHA256 = "f1b6ddcd739fb879cab4d219053543af1ad4c9e206880807c9211e9e7a975981"
+
+// TestLiveSnapshotBytes pins the .idx bytes, not just the index they
+// restore to: the digest of the file a LiveSink writes for a fixed
+// fixture, and a decode/re-encode round trip that reproduces the file
+// byte for byte (no field is dropped or renamed on either side).
+func TestLiveSnapshotBytes(t *testing.T) {
+	in := chaosInput(t)
+	path := filepath.Join(t.TempDir(), "pin.jsonl")
+	foldJournal(t, path, in.Data.Visits, 7, &Input{Allowlist: in.Allowlist})
+
+	data, err := os.ReadFile(IndexSnapshotPath(path))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(data)
+	if got := hex.EncodeToString(sum[:]); got != liveSnapshotSHA256 {
+		t.Errorf(".idx sha256 = %s, want %s", got, liveSnapshotSHA256)
+	}
+
+	snap, err := decodeLiveSnapshot(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := json.NewEncoder(&buf).Encode(snap); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), data) {
+		t.Fatalf("decode/re-encode changed the .idx bytes (%d -> %d bytes)", len(data), buf.Len())
+	}
+}
+
+// TestSnapshotIsolatedFromLaterFolds pins that a finalized Index shares
+// no state with the accumulator it came from: an Index taken at prefix
+// p still equals the batch build of that prefix after the live index
+// has folded the rest of the campaign.
+func TestSnapshotIsolatedFromLaterFolds(t *testing.T) {
+	in := chaosInput(t)
+	visits := in.Data.Visits
+	p := len(visits) / 3
+
+	live := NewLiveIndex(&Input{Allowlist: in.Allowlist})
+	for i := 0; i < p; i++ {
+		live.Fold(&visits[i])
+	}
+	early := live.Snapshot(in)
+	for i := p; i < len(visits); i++ {
+		live.Fold(&visits[i])
+	}
+
+	prefixIn := &Input{
+		Data:         &dataset.Dataset{Visits: visits[:p]},
+		Allowlist:    in.Allowlist,
+		Attestations: in.Attestations,
+	}
+	assertIndexEqual(t, "snapshot after later folds", early, prefixIn.Index())
+}
+
+// TestMergeIsolatedFromPartials pins that MergeShardIndexes neither
+// mutates its partials nor aliases them: after merging two live
+// indexes' Shard() partials, folding more records into one of them
+// leaves the merged Index equal to the batch build of the merged
+// visits, and the folded live index equal to the batch build of its
+// own records.
+func TestMergeIsolatedFromPartials(t *testing.T) {
+	in := chaosInput(t)
+	visits := in.Data.Visits
+	a, b := len(visits)/3, 2*len(visits)/3
+
+	first := NewLiveIndex(&Input{Allowlist: in.Allowlist})
+	for i := 0; i < a; i++ {
+		first.Fold(&visits[i])
+	}
+	second := NewLiveIndex(&Input{Allowlist: in.Allowlist})
+	for i := a; i < b; i++ {
+		second.Fold(&visits[i])
+	}
+	merged, err := MergeShardIndexes(&Input{Allowlist: in.Allowlist, Attestations: in.Attestations},
+		first.Shard(), second.Shard())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := b; i < len(visits); i++ {
+		first.Fold(&visits[i])
+	}
+
+	batch := func(vs ...[]dataset.Visit) *Index {
+		var all []dataset.Visit
+		for _, v := range vs {
+			all = append(all, v...)
+		}
+		return (&Input{
+			Data:         &dataset.Dataset{Visits: all},
+			Allowlist:    in.Allowlist,
+			Attestations: in.Attestations,
+		}).Index()
+	}
+	assertIndexEqual(t, "merged index after a partial kept folding", merged, batch(visits[:b]))
+	assertIndexEqual(t, "partial after the merge", first.Snapshot(in), batch(visits[:a], visits[b:]))
+	assertIndexEqual(t, "untouched partial after the merge", second.Snapshot(in), batch(visits[a:b]))
 }

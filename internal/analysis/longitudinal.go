@@ -38,7 +38,7 @@ type EpochRow struct {
 }
 
 // assembleTrajectory orders the per-epoch fold buckets into rows.
-func assembleTrajectory(epochs map[int]*epochCount) Trajectory {
+func assembleTrajectory(epochs map[int]epochCount) Trajectory {
 	tr := Trajectory{}
 	keys := make([]int, 0, len(epochs))
 	for ep := range epochs {
@@ -50,10 +50,10 @@ func assembleTrajectory(epochs map[int]*epochCount) Trajectory {
 		tr.Rows = append(tr.Rows, EpochRow{
 			Epoch:         ep,
 			Start:         time.Unix(int64(ep)*epochSeconds, 0).UTC(),
-			Visits:        ec.visits,
-			Calls:         ec.calls,
-			ActiveCallers: len(ec.callers),
-			SitesWithCall: len(ec.sites),
+			Visits:        ec.Visits,
+			Calls:         ec.Calls,
+			ActiveCallers: len(ec.Callers),
+			SitesWithCall: len(ec.Sites),
 		})
 	}
 	return tr

@@ -17,7 +17,6 @@ import (
 // re-reading the merged journal.
 type ShardIndex struct {
 	agg    *indexShard
-	cache  *etld.Cache
 	visits int
 }
 
@@ -25,7 +24,7 @@ type ShardIndex struct {
 func (s *ShardIndex) Visits() int { return s.visits }
 
 // BuildShardIndex aggregates one shard's dataset into a mergeable
-// partial, using the same striped parallel pass as BuildIndex. The
+// partial, using the striped parallel pass BuildIndex finalizes. The
 // input's Allowlist must be the campaign-global one — the allow-list
 // membership bit is folded into the partial and must agree across
 // shards. Attestations are not consulted until finalize (they do not
@@ -34,17 +33,12 @@ func BuildShardIndex(in *Input) *ShardIndex {
 	return buildShardIndex(in, runtime.GOMAXPROCS(0))
 }
 
+// buildShardIndex is the one striped pass: each worker folds a
+// contiguous stripe of the visits into a private accumulator, and the
+// stripes merge into the first.
 func buildShardIndex(in *Input, workers int) *ShardIndex {
 	visits := in.Data.Visits
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > len(visits) {
-		workers = len(visits)
-	}
-	if workers == 0 {
-		workers = 1
-	}
+	workers = max(1, min(workers, len(visits)))
 
 	cache := etld.NewCache()
 	shards := make([]*indexShard, workers)
@@ -74,7 +68,7 @@ func buildShardIndex(in *Input, workers int) *ShardIndex {
 	for _, s := range shards[1:] {
 		agg.absorb(s)
 	}
-	return &ShardIndex{agg: agg, cache: cache, visits: len(visits)}
+	return &ShardIndex{agg: agg, visits: len(visits)}
 }
 
 // MergeShardIndexes combines per-shard partials into one finalized
@@ -82,28 +76,20 @@ func buildShardIndex(in *Input, workers int) *ShardIndex {
 // allow-list and attestation checks — because finalize reads the
 // allow-list block and enrolment timeline from it; the visit-derived
 // aggregates come entirely from the partials. Merge order cannot
-// influence the result (absorb is commutative), and the returned Index
-// equals BuildIndex(in) field for field — the cross-shard parity test
-// pins that.
+// influence the result (absorb is commutative), the partials are left
+// untouched (they are absorbed into a fresh accumulator), and the
+// returned Index equals BuildIndex(in) field for field — the
+// cross-shard parity test pins that.
 func MergeShardIndexes(in *Input, parts ...*ShardIndex) (*Index, error) {
 	if len(parts) == 0 {
 		return nil, fmt.Errorf("analysis: merging shard indexes: no partials")
 	}
-	agg := parts[0].agg
-	cache := parts[0].cache
-	for _, p := range parts[1:] {
+	agg := newIndexShard(in, parts[0].agg.cache)
+	for _, p := range parts {
 		agg.absorb(p.agg)
 	}
 	in.Metrics.Add("analysis_shard_indexes_merged_total", int64(len(parts)))
-
-	idx := &Index{
-		etld:    cache,
-		called:  agg.called,
-		present: agg.present,
-		callers: agg.callers,
-	}
-	idx.finalize(in, agg)
-	return idx, nil
+	return agg.finalize(in), nil
 }
 
 // AdoptIndex installs an externally built index (one assembled by

@@ -585,15 +585,18 @@ func (c *Crawler) crawlSite(ctx context.Context, entry tranco.Entry) ([]dataset.
 		[]*obs.VisitTrace{mkTrace(trBefore, &before), mkTrace(trAfter, &after)}
 }
 
-// markAborted reclassifies a visit that failed because the campaign is
+// markAborted reclassifies a visit that ended while the campaign is
 // draining (context cancelled, SIGTERM): whatever error the collapsing
-// page load surfaced, the truthful class is "aborted" — the site was
-// not given a fair visit and must be recrawled on resume.
+// page load surfaced — or none, when the page loaded but the document
+// walk stopped short of its subresources and scripts — the truthful
+// class is "aborted": the site was not given a fair visit and must be
+// recrawled on resume.
 func markAborted(ctx context.Context, v *dataset.Visit, site string) {
-	if v.Success || ctx.Err() == nil {
+	if ctx.Err() == nil {
 		return
 	}
 	e := &chaos.Error{Class: chaos.ClassAborted, Host: site}
+	v.Success = false
 	v.Error = e.Error()
 	v.ErrorClass = string(chaos.ClassAborted)
 }

@@ -43,6 +43,22 @@ func TestLiveReportMatchesPostHoc(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// A journalled campaign finalizes the fold its sink kept, so its own
+	// report is already a live one: pin it against an explicit batch
+	// build over the collected dataset.
+	batch := topicscope.Analyze(&topicscope.AnalysisInput{
+		Data:         results.Data,
+		Allowlist:    results.Analysis.Allowlist,
+		Attestations: results.Analysis.Attestations,
+	})
+	var batchJSON bytes.Buffer
+	if err := batch.WriteJSON(&batchJSON); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(postHoc.Bytes(), batchJSON.Bytes()) {
+		t.Fatal("journalled campaign report JSON differs from the batch build over its dataset")
+	}
+
 	// The -live path: regenerate the same world, load the live index,
 	// sweep attestations against the live caller set under the same
 	// chaos weather, assemble, render.

@@ -166,18 +166,19 @@ func (c Campaign) Run(ctx context.Context) (*Results, error) {
 		Traces:             sink,
 	}
 	var journal *dataset.JournalWriter
+	var live *analysis.LiveSink
 	if c.OutputPath != "" {
 		// The incremental-analysis fold rides the journal's observer
 		// hook: every appended record updates a live index, and every
 		// committed checkpoint serializes it beside the journal
 		// (<out>.idx), so topics-monitor -live and topics-report -live
 		// render the campaign's tables mid-crawl in O(tail + snapshot).
-		liveIn := &analysis.Input{Allowlist: allow, Metrics: reg}
+		live = analysis.NewLiveSink(c.OutputPath, &analysis.Input{Allowlist: allow, Metrics: reg})
 		var err error
 		journal, err = dataset.CreateJournal(c.OutputPath, dataset.JournalOptions{
 			CheckpointEvery: c.CheckpointEvery,
 			Metrics:         reg,
-			Observer:        analysis.NewLiveSink(c.OutputPath, liveIn),
+			Observer:        live,
 		})
 		if err != nil {
 			return nil, err
@@ -226,6 +227,11 @@ func (c Campaign) Run(ctx context.Context) (*Results, error) {
 		Allowlist:    allow,
 		Attestations: dataset.AttestationIndex(recs),
 		Metrics:      reg,
+	}
+	if live != nil {
+		// The sink has folded every record of the crawl: finalize that
+		// fold rather than aggregating res.Data a second time.
+		in.AdoptIndex(live.Live().Snapshot(in))
 	}
 	report := analysis.Run(in)
 	if err := sink.WriteTrace(analysis.BuildTrace(in, attTrace.Root.End)); err != nil {
