@@ -67,9 +67,11 @@ bench:
 	$(GO) test -bench=. -benchmem ./...
 
 # Machine-readable benchmark baseline: the committed BENCH_report.json
-# is the reference later sessions diff against.
+# is the reference later sessions diff against. It is taken at
+# GOMAXPROCS=1 (-cpu 1): the sharded index build's allocations depend on
+# the worker count, so the baseline and the gate pin one CPU count.
 bench-json:
-	$(GO) test -run '^$$' -bench=. -benchmem . | $(GO) run ./cmd/benchjson > BENCH_report.json
+	$(GO) test -run '^$$' -bench=. -cpu 1 -benchmem . | $(GO) run ./cmd/benchjson > BENCH_report.json
 
 # Benchmark regression gate: re-run the suite and fail when a
 # machine-independent metric regressed more than 20% against the
@@ -77,9 +79,10 @@ bench-json:
 # SLO metrics (p50_ms/p99_ms/p999_ms up, req_s down). ns/op is
 # advisory — it depends on the host. The short -benchtime keeps CI
 # cheap; allocation counts stabilise within a few iterations and the
-# SLO metrics are identical for any iteration count.
+# SLO metrics are identical for any iteration count. -cpu 1 matches the
+# baseline's GOMAXPROCS, so the gate compares like with like on any host.
 bench-gate:
-	$(GO) test -run '^$$' -bench=. -benchtime=0.2s -benchmem . \
+	$(GO) test -run '^$$' -bench=. -benchtime=0.2s -cpu 1 -benchmem . \
 		| $(GO) run ./cmd/benchjson -check BENCH_report.json -tol 0.2
 
 # Serving-path SLO gate: one deterministic load run at the canonical
@@ -91,7 +94,8 @@ load-slo:
 	$(GO) run ./cmd/topics-load -seed 1 -sites 1500 -requests 20000 -rate 5000 \
 		-slo-p50-ms 64 -slo-p99-ms 300 -slo-p999-ms 600 -slo-req-s 2000 > /dev/null
 
-# Short fuzz pass over every parser.
+# Short fuzz pass over every parser, and the .idx snapshot encoder
+# against encoding/json.
 fuzz:
 	$(GO) test -fuzz=FuzzParse -fuzztime=10s ./internal/htmlx/
 	$(GO) test -fuzz=FuzzReadAllowlist -fuzztime=10s ./internal/attestation/
@@ -104,6 +108,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzManifestDecode -fuzztime=10s ./internal/durable/
 	$(GO) test -fuzz=FuzzFrameIndexDecode -fuzztime=10s ./internal/durable/
 	$(GO) test -fuzz=FuzzFsckReportDecode -fuzztime=10s ./internal/fsck/
+	$(GO) test -fuzz=FuzzSnapshotEncode -fuzztime=10s ./internal/analysis/
 
 # The incremental-analysis equivalence suite: fold-vs-build parity at
 # every prefix, snapshot round trip + corruption degradation, the

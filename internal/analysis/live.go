@@ -8,6 +8,7 @@ import (
 	"maps"
 	"os"
 	"path/filepath"
+	"reflect"
 	"slices"
 
 	"github.com/netmeasure/topicscope/internal/attestation"
@@ -35,6 +36,7 @@ type LiveIndex struct {
 	in     *Input
 	agg    *indexShard
 	visits int
+	enc    snapshotEncoder
 }
 
 // NewLiveIndex returns an empty fold accumulator. The input needs only
@@ -92,12 +94,13 @@ func RemoveIndexSnapshot(journalPath string) {
 // liveSnapshot is the serialized form of a LiveIndex, written beside the
 // journal at every checkpoint: a header, then the accumulator's own JSON
 // encoding (indexShard's tagged fields). Everything is a JSON map or
-// counter — encoding/json sorts map keys, so the bytes are deterministic
-// for a given accumulator state. The header ties the snapshot to one
-// exact committed journal state (records + payload CRC) and to the
-// allow-list the classification was folded against; any mismatch on
-// load degrades the reader to a full scan, mirroring the manifest's
-// accelerator-never-authority contract.
+// counter — map keys are sorted, so the bytes are deterministic for a
+// given accumulator state. snapshotEncoder writes it byte for byte as
+// encoding/json would; encoding/json reads it back. The header ties the
+// snapshot to one exact committed journal state (records + payload CRC)
+// and to the allow-list the classification was folded against; any
+// mismatch on load degrades the reader to a full scan, mirroring the
+// manifest's accelerator-never-authority contract.
 type liveSnapshot struct {
 	Version      int    `json:"version"`
 	Journal      string `json:"journal"`
@@ -125,11 +128,17 @@ func allowlistCRC(allow *attestation.Allowlist) uint32 {
 	return crc
 }
 
-// decodeLiveSnapshot strictly decodes and validates snapshot bytes.
+// decodeLiveSnapshot strictly decodes and validates snapshot bytes. It
+// decodes straight into a fresh accumulator, so a map the file lacks is
+// empty rather than nil; a map the file spells null, at any depth, is
+// rejected — a fresh accumulator never writes one.
 func decodeLiveSnapshot(data []byte) (*liveSnapshot, error) {
-	var snap liveSnapshot
+	snap := liveSnapshot{indexShard: *newIndexShard(nil, nil)}
 	if err := json.Unmarshal(data, &snap); err != nil {
 		return nil, fmt.Errorf("analysis: index snapshot: %w", err)
+	}
+	if hasNilMap(reflect.ValueOf(&snap.indexShard).Elem()) {
+		return nil, fmt.Errorf("analysis: index snapshot: null map")
 	}
 	if snap.Version != LiveSnapshotVersion {
 		return nil, fmt.Errorf("analysis: index snapshot: unsupported version %d", snap.Version)
@@ -143,10 +152,36 @@ func decodeLiveSnapshot(data []byte) (*liveSnapshot, error) {
 	return &snap, nil
 }
 
+// hasNilMap reports whether v holds a nil map anywhere: as a field, as
+// a map value, or inside a struct that is one.
+func hasNilMap(v reflect.Value) bool {
+	switch v.Kind() {
+	case reflect.Map:
+		if v.IsNil() {
+			return true
+		}
+		if k := v.Type().Elem().Kind(); k == reflect.Map || k == reflect.Struct {
+			for it := v.MapRange(); it.Next(); {
+				if hasNilMap(it.Value()) {
+					return true
+				}
+			}
+		}
+	case reflect.Struct:
+		for i := range v.NumField() {
+			if hasNilMap(v.Field(i)) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
 // StoreSnapshot atomically writes the accumulator's serialized form
 // beside the journal, tied to the given committed checkpoint. The
 // snapshot shares the accumulator's maps (encoding reads, never
-// writes), so the only cost is the encode.
+// writes), so the only cost is the encode, into a buffer the LiveIndex
+// reuses from one checkpoint to the next.
 func (l *LiveIndex) StoreSnapshot(journalPath string, ck durable.Checkpoint) error {
 	snap := &liveSnapshot{
 		Version:      LiveSnapshotVersion,
@@ -157,8 +192,13 @@ func (l *LiveIndex) StoreSnapshot(journalPath string, ck durable.Checkpoint) err
 		Visits:       l.visits,
 		indexShard:   *l.agg,
 	}
+	data, err := l.enc.encode(snap)
+	if err != nil {
+		return err
+	}
 	return durable.WriteFileAtomicFS(l.in.FS, IndexSnapshotPath(journalPath), func(w io.Writer) error {
-		return json.NewEncoder(w).Encode(snap)
+		_, err := w.Write(data)
+		return err
 	})
 }
 
@@ -205,12 +245,9 @@ func LoadIndexSnapshot(journalPath string, in *Input) (*LiveIndex, *SnapshotInfo
 	if snap.AllowlistCRC != allowlistCRC(in.Allowlist) {
 		return nil, nil
 	}
-	// The decoded accumulator is absorbed, not adopted: the restored
-	// one starts from newIndexShard, so a map the file lacks is empty
-	// rather than nil.
-	l := NewLiveIndex(in)
-	l.agg.absorb(&snap.indexShard)
-	l.visits = snap.Visits
+	agg := &snap.indexShard
+	agg.in, agg.cache = in, etld.NewCache()
+	l := &LiveIndex{in: in, agg: agg, visits: snap.Visits}
 	return l, &SnapshotInfo{
 		Records:    snap.Records,
 		PayloadCRC: snap.PayloadCRC,

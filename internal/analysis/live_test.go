@@ -273,6 +273,26 @@ func TestLiveSnapshotRoundTrip(t *testing.T) {
 	assertIndexEqual(t, "LoadLive", idx, prefixIn.Index())
 }
 
+// editSnapshotJSON rewrites the .idx at p through its top-level fields.
+func editSnapshotJSON(t *testing.T, p string, edit func(map[string]json.RawMessage)) {
+	t.Helper()
+	data, err := os.ReadFile(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fields map[string]json.RawMessage
+	if err := json.Unmarshal(data, &fields); err != nil {
+		t.Fatal(err)
+	}
+	edit(fields)
+	if data, err = json.Marshal(fields); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(p, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestLiveSnapshotCorruptionDegrades is the torn-.idx half of satellite
 // 3: a truncated, corrupt, version-skewed or mismatched snapshot must
 // degrade every reader to a full folding scan — same result, more
@@ -317,6 +337,31 @@ func TestLiveSnapshotCorruptionDegrades(t *testing.T) {
 			if err := os.Remove(p); err != nil {
 				t.Fatal(err)
 			}
+		}},
+		// A fresh accumulator never writes null, so a null map is a file
+		// some other writer produced: restoring it would hand the fold a
+		// nil map.
+		{"null-top-level-map", func(t *testing.T, p string) {
+			editSnapshotJSON(t, p, func(fields map[string]json.RawMessage) {
+				fields["by_class"] = json.RawMessage("null")
+			})
+		}},
+		{"null-nested-set", func(t *testing.T, p string) {
+			editSnapshotJSON(t, p, func(fields map[string]json.RawMessage) {
+				var epochs map[string]map[string]json.RawMessage
+				if err := json.Unmarshal(fields["epochs"], &epochs); err != nil || len(epochs) == 0 {
+					t.Fatalf("snapshot has no epochs to corrupt: %v", err)
+				}
+				for _, ep := range epochs {
+					ep["callers"] = json.RawMessage("null")
+					break
+				}
+				data, err := json.Marshal(epochs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				fields["epochs"] = data
+			})
 		}},
 	}
 	for _, tc := range corruptions {

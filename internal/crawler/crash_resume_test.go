@@ -269,7 +269,11 @@ func (c *cancellingWriter) Write(v *dataset.Visit) error {
 // resuming completes it byte-identically.
 func TestGracefulDrainCheckpointsAndResumes(t *testing.T) {
 	const every = 5
-	list := cwWorld.List().Top(120)
+	// Long enough that the cancel (at record 40, about site 20) lands
+	// mid-campaign: the workers can finish sites ahead of the writer by
+	// the results buffer (64 sites), the sites in flight and the reorder
+	// slack, so the list must reach well past that window.
+	list := cwWorld.List().Top(300)
 	dir := t.TempDir()
 	golden := goldenJournal(t, dir, list, every)
 	goldenBytes := journalPayloads(t, golden)

@@ -229,7 +229,9 @@ func (c *Crawler) Run(ctx context.Context, list *tranco.List) (*Result, error) {
 	}
 
 	jobs := make(chan tranco.Entry)
-	results := make(chan siteResult, cfg.Workers*2)
+	// Deep enough to outlast a checkpoint: workers keep crawling while
+	// the consumer writes the journal's index snapshot.
+	results := make(chan siteResult, max(2*cfg.Workers, 64))
 
 	var wg sync.WaitGroup
 	for w := 0; w < cfg.Workers; w++ {
