@@ -94,8 +94,8 @@ load-slo:
 	$(GO) run ./cmd/topics-load -seed 1 -sites 1500 -requests 20000 -rate 5000 \
 		-slo-p50-ms 64 -slo-p99-ms 300 -slo-p999-ms 600 -slo-req-s 2000 > /dev/null
 
-# Short fuzz pass over every parser, and the .idx snapshot encoder
-# against encoding/json.
+# Short fuzz pass over every parser, and the .idx snapshot encoder —
+# full and incremental — against encoding/json.
 fuzz:
 	$(GO) test -fuzz=FuzzParse -fuzztime=10s ./internal/htmlx/
 	$(GO) test -fuzz=FuzzReadAllowlist -fuzztime=10s ./internal/attestation/
@@ -109,14 +109,16 @@ fuzz:
 	$(GO) test -fuzz=FuzzFrameIndexDecode -fuzztime=10s ./internal/durable/
 	$(GO) test -fuzz=FuzzFsckReportDecode -fuzztime=10s ./internal/fsck/
 	$(GO) test -fuzz=FuzzSnapshotEncode -fuzztime=10s ./internal/analysis/
+	$(GO) test -fuzz=FuzzIncrementalSnapshot -fuzztime=10s ./internal/analysis/
 
 # The incremental-analysis equivalence suite: fold-vs-build parity at
 # every prefix, snapshot round trip + corruption degradation, the
+# incremental .idx encoder against encoding/json at every checkpoint, the
 # crash/resume index-snapshot matrix, live-vs-merged shard property, and
 # the public-API live report byte-identity (see DESIGN.md "Incremental
 # analysis").
 live:
-	$(GO) test -run 'TestIncrementalIndexParity|TestLiveIndexMergeProperty|TestLiveSnapshotRoundTrip|TestLiveSnapshotCorruptionDegrades|TestLiveSinkResumeAcrossCheckpoint' -count=1 ./internal/analysis/
+	$(GO) test -run 'TestIncrementalIndexParity|TestLiveIndexMergeProperty|TestLiveSnapshotRoundTrip|TestLiveSnapshotCorruptionDegrades|TestLiveSinkResumeAcrossCheckpoint|TestIncrementalSnapshotMatchesStdlib' -count=1 ./internal/analysis/
 	$(GO) test -run 'TestCrashResumeIndexSnapshot|TestLiveReportReadsOnlyTail' -count=1 ./internal/crawler/
 	$(GO) test -run 'TestFrameIndex' -count=1 ./internal/durable/
 	$(GO) test -run 'TestLiveReportMatchesPostHoc' -count=1 .

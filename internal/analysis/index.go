@@ -239,6 +239,11 @@ func phaseSets(m map[dataset.Phase]map[string]siteSet, p dataset.Phase) map[stri
 // replicates the exact phase/success filter of the corresponding legacy
 // scan (legacy_test.go) — the filters differ per experiment on purpose,
 // and the parity test depends on matching them bit for bit.
+//
+// The incremental snapshot encoder (live_encode.go) relies on two more
+// properties: add never deletes a key or changes a set member once
+// written, and every key it writes into an accumulator it also writes
+// into a fresh one.
 func (s *indexShard) add(v *dataset.Visit) {
 	ba := v.Phase == dataset.BeforeAccept
 	aa := v.Phase == dataset.AfterAccept

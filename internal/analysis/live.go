@@ -33,8 +33,13 @@ import (
 // single goroutine, which is exactly what makes one-at-a-time folding
 // deterministic for free.
 type LiveIndex struct {
-	in     *Input
-	agg    *indexShard
+	in  *Input
+	agg *indexShard
+	// delta, on a LiveIndex that writes snapshots, also folds every
+	// visit and is reset after each snapshot encode: its keys are the
+	// ones that may have changed since, which is what lets the encoder
+	// splice the previous encoding. Readers carry none.
+	delta  *indexShard
 	visits int
 	enc    snapshotEncoder
 }
@@ -49,6 +54,9 @@ func NewLiveIndex(in *Input) *LiveIndex {
 // Fold adds one visit record to the accumulator.
 func (l *LiveIndex) Fold(v *dataset.Visit) {
 	l.agg.add(v)
+	if l.delta != nil {
+		l.delta.add(v)
+	}
 	l.visits++
 }
 
@@ -181,9 +189,27 @@ func hasNilMap(v reflect.Value) bool {
 // beside the journal, tied to the given committed checkpoint. The
 // snapshot shares the accumulator's maps (encoding reads, never
 // writes), so the only cost is the encode, into a buffer the LiveIndex
-// reuses from one checkpoint to the next.
+// reuses from one checkpoint to the next; with a delta, the encode
+// redoes only what was folded since the previous one.
 func (l *LiveIndex) StoreSnapshot(journalPath string, ck durable.Checkpoint) error {
-	snap := &liveSnapshot{
+	data, err := l.encode(l.snapshot(journalPath, ck))
+	if err != nil {
+		return err
+	}
+	return durable.WriteFileAtomicFS(l.in.FS, IndexSnapshotPath(journalPath), func(w io.Writer) error {
+		for _, b := range data {
+			if _, err := w.Write(b); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+}
+
+// snapshot returns the accumulator's serialized form for a committed
+// checkpoint. It shares the accumulator's maps.
+func (l *LiveIndex) snapshot(journalPath string, ck durable.Checkpoint) *liveSnapshot {
+	return &liveSnapshot{
 		Version:      LiveSnapshotVersion,
 		Journal:      filepath.Base(journalPath),
 		Records:      ck.Records,
@@ -192,14 +218,17 @@ func (l *LiveIndex) StoreSnapshot(journalPath string, ck durable.Checkpoint) err
 		Visits:       l.visits,
 		indexShard:   *l.agg,
 	}
-	data, err := l.enc.encode(snap)
-	if err != nil {
-		return err
+}
+
+// encode encodes snap, splicing the previous encoding when the
+// LiveIndex keeps a delta, and starts a fresh delta. The encoding is
+// the concatenation of the returned chunks.
+func (l *LiveIndex) encode(snap *liveSnapshot) ([][]byte, error) {
+	data, err := l.enc.encode(snap, l.delta)
+	if l.delta != nil {
+		l.delta = newIndexShard(l.in, l.agg.cache)
 	}
-	return durable.WriteFileAtomicFS(l.in.FS, IndexSnapshotPath(journalPath), func(w io.Writer) error {
-		_, err := w.Write(data)
-		return err
-	})
+	return data, err
 }
 
 // SnapshotInfo describes a restored index snapshot.
@@ -363,7 +392,14 @@ type LiveSink struct {
 
 // NewLiveSink returns a sink for a fresh journal.
 func NewLiveSink(journalPath string, in *Input) *LiveSink {
-	return &LiveSink{path: journalPath, idx: NewLiveIndex(in)}
+	return newLiveSink(journalPath, NewLiveIndex(in))
+}
+
+// newLiveSink attaches l to a sink, which makes it keep a delta: every
+// snapshot after the first splices the previous encoding.
+func newLiveSink(journalPath string, l *LiveIndex) *LiveSink {
+	l.delta = newIndexShard(l.in, l.agg.cache)
+	return &LiveSink{path: journalPath, idx: l}
 }
 
 // OpenLiveSink returns a sink for a journal about to be resumed:
@@ -378,7 +414,7 @@ func OpenLiveSink(journalPath string, in *Input) (*LiveSink, *LiveStats, error) 
 		st.SnapshotRestored = true
 		st.SnapshotRecords = info.Records
 		in.Metrics.Add("analysis_index_snapshots_restored_total", 1)
-		return &LiveSink{path: journalPath, idx: live}, st, nil
+		return newLiveSink(journalPath, live), st, nil
 	}
 	live := NewLiveIndex(in)
 	m := durable.LoadManifest(journalPath)
@@ -386,13 +422,13 @@ func OpenLiveSink(journalPath string, in *Input) (*LiveSink, *LiveStats, error) 
 		// Nothing committed (or no usable manifest, in which case the
 		// resume's own salvaging scan replays everything through the
 		// observer): start empty.
-		return &LiveSink{path: journalPath, idx: live}, st, nil
+		return newLiveSink(journalPath, live), st, nil
 	}
 	if err := foldTail(journalPath, 0, live, m.Records, st); err != nil {
 		return nil, nil, err
 	}
 	in.Metrics.Add("analysis_index_snapshot_rebuilds_total", 1)
-	return &LiveSink{path: journalPath, idx: live}, st, nil
+	return newLiveSink(journalPath, live), st, nil
 }
 
 // Live returns the sink's accumulator.

@@ -21,18 +21,87 @@ import (
 // per-value reflection and allocations. It keeps no list of fields: the
 // structs' JSON tags are read once by reflection, so a new tagged
 // aggregate needs no change here. A map shape the accumulator already
-// uses takes a typed fast path; any other field is encoded by
-// json.Marshal on its own.
+// uses takes a typed path; any other field is encoded by json.Marshal on
+// its own.
 //
-// The output buffer and the key-sort scratch slices are reused from one
-// checkpoint to the next. Each LiveIndex owns its encoder: in-process
-// shards run several sinks at once.
+// The encode is incremental. Every map of at least memoMinLen keys is
+// memoized by identity: its sorted keys, where each `"key":value`
+// fragment starts, and its encoded bytes. Given a delta — an accumulator
+// holding what was folded since the previous encode — a memoized map
+// re-encodes only the fragments whose keys the delta holds (recursing
+// with the delta's nested map), merges its new keys in, and copies each
+// untouched run of fragments from its previous encoding with one append.
+// Without a delta the memo is dropped and rebuilt: that full encode is
+// the same splice, with nothing memoized. Soundness rests on two
+// accumulator invariants (see DESIGN.md "Incremental analysis").
+//
+// The output is a list of chunks rather than one buffer: a memoized map
+// that no memoized map encloses goes out as its memo's bytes, so an
+// unchanged one is never copied, and the buffer holds little more than
+// the map being spliced.
+//
+// Each LiveIndex owns its encoder: in-process shards run several sinks
+// at once.
 type snapshotEncoder struct {
 	buf    []byte
 	err    error
 	fields map[reflect.Type][]snapshotField
-	keys   scratch[string]
-	ints   scratch[int]
+	// memo maps a memoized map's address to its *mapMemo.
+	memo map[uintptr]any
+
+	out  [][]byte // the encoding so far, up to buf[glue:]
+	glue int
+	// depth counts the memoized maps enclosing the value being encoded:
+	// those need its bytes in the buffer.
+	depth int
+}
+
+// memoMinLen is the smallest map the encoder memoizes; a smaller one is
+// cheaper to re-encode than to splice.
+const memoMinLen = 8
+
+// mapMemo is a map's encoding at the last encode that visited it.
+type mapMemo[K comparable] struct {
+	m    any    // the map itself, so its address is not reused while memoized
+	keys []K    // sorted as encoding/json sorts them
+	off  []int  // off[i]: where fragment i starts in enc; off[len(keys)] == len(enc)
+	enc  []byte // '{' fragments joined by ',' '}'
+
+	// Scratch reused from one splice to the next.
+	touched []int
+	added   []K
+	spans   []span
+}
+
+// span is one stretch of a splice's output, starting at byte at: n
+// fragments of the previous encoding from fragment old on, or, when n is
+// 0, the fragment of the new key added[old].
+type span struct{ old, n, at int }
+
+// keyCodec is how encoding/json orders and writes a map's keys.
+type keyCodec[K comparable] struct {
+	compare   func(a, b K) int
+	appendKey func(dst []byte, k K) []byte
+}
+
+func stringKeys[K ~string]() keyCodec[K] {
+	return keyCodec[K]{
+		compare:   func(a, b K) int { return strings.Compare(string(a), string(b)) },
+		appendKey: func(dst []byte, k K) []byte { return appendJSONString(dst, string(k)) },
+	}
+}
+
+// intKeys quotes int keys and sorts them as decimal strings, so "10"
+// precedes "9".
+func intKeys() keyCodec[int] {
+	return keyCodec[int]{
+		compare: compareDecimal,
+		appendKey: func(dst []byte, k int) []byte {
+			dst = append(dst, '"')
+			dst = strconv.AppendInt(dst, int64(k), 10)
+			return append(dst, '"')
+		},
+	}
 }
 
 // snapshotField is one JSON field of a struct: its index path (through
@@ -45,34 +114,43 @@ type snapshotField struct {
 	marshal bool
 }
 
-// scratch is a stack of reusable key slices: a nested map takes a slice
-// of its own while its parent's is still in use, and gives it back when
-// done.
-type scratch[T any] struct{ free [][]T }
-
-func (s *scratch[T]) take() []T {
-	n := len(s.free)
-	if n == 0 {
-		return nil
+// encode returns the chunks of snap's encoding followed by the newline
+// json.Encoder ends with; they are valid until the next encode. delta
+// is the accumulator of everything folded into snap since the previous
+// encode. A nil delta says nothing about what changed: the memo is
+// dropped and everything is encoded in full, which rebuilds it. On
+// error the memo is dropped too, so the next encode is full.
+func (e *snapshotEncoder) encode(snap *liveSnapshot, delta *indexShard) ([][]byte, error) {
+	var d liveSnapshot
+	if delta == nil {
+		clear(e.memo)
+	} else {
+		d.indexShard = *delta
 	}
-	t := s.free[n-1]
-	s.free = s.free[:n-1]
-	return t[:0]
-}
-
-func (s *scratch[T]) put(t []T) { s.free = append(s.free, t) }
-
-// encode returns snap's encoding followed by the newline json.Encoder
-// ends with. The bytes live in the encoder's buffer and are valid until
-// the next encode.
-func (e *snapshotEncoder) encode(snap *liveSnapshot) ([]byte, error) {
-	e.buf, e.err = e.buf[:0], nil
-	e.appendStruct(reflect.ValueOf(snap).Elem())
+	e.buf, e.err, e.out, e.glue = e.buf[:0], nil, e.out[:0], 0
+	e.appendStruct(reflect.ValueOf(snap).Elem(), reflect.ValueOf(&d).Elem())
 	if e.err != nil {
+		clear(e.memo)
 		return nil, e.err
 	}
 	e.buf = append(e.buf, '\n')
-	return e.buf, nil
+	e.out = append(e.out, e.buf[e.glue:])
+	return e.out, nil
+}
+
+// output finishes a memoized map whose encoding is enc, and which
+// starts at start in the buffer: a spliced map's bytes are already
+// there, an unchanged one's are not. Unless a memoized map encloses it,
+// the map is cut out of the buffer and goes out as enc itself.
+func (e *snapshotEncoder) output(start int, enc []byte) {
+	if e.depth > 0 {
+		if len(e.buf) == start {
+			e.buf = append(e.buf, enc...)
+		}
+		return
+	}
+	e.out = append(e.out, e.buf[e.glue:start], enc)
+	e.buf, e.glue = e.buf[:start], start
 }
 
 // plan returns t's JSON fields, computing them on first use.
@@ -124,7 +202,9 @@ func appendFields(dst []snapshotField, t reflect.Type, index []int) []snapshotFi
 	return dst
 }
 
-func (e *snapshotEncoder) appendStruct(v reflect.Value) {
+// appendStruct encodes v, a struct, given d, the same struct in the
+// delta.
+func (e *snapshotEncoder) appendStruct(v, d reflect.Value) {
 	e.buf = append(e.buf, '{')
 	for i, f := range e.plan(v.Type()) {
 		if i > 0 {
@@ -136,13 +216,14 @@ func (e *snapshotEncoder) appendStruct(v reflect.Value) {
 			e.marshal(fv)
 			continue
 		}
-		e.appendValue(fv)
+		e.appendValue(fv, d.FieldByIndex(f.index))
 	}
 	e.buf = append(e.buf, '}')
 }
 
-// appendValue encodes a value whose type does not encode itself.
-func (e *snapshotEncoder) appendValue(v reflect.Value) {
+// appendValue encodes a value whose type does not encode itself, given
+// d, the same value in the delta.
+func (e *snapshotEncoder) appendValue(v, d reflect.Value) {
 	switch v.Kind() {
 	case reflect.Bool:
 		e.buf = strconv.AppendBool(e.buf, v.Bool())
@@ -153,9 +234,9 @@ func (e *snapshotEncoder) appendValue(v reflect.Value) {
 	case reflect.String:
 		e.buf = appendJSONString(e.buf, v.String())
 	case reflect.Struct:
-		e.appendStruct(v)
+		e.appendStruct(v, d)
 	case reflect.Map:
-		if !e.appendMap(v.Interface()) {
+		if !e.appendMap(v.Interface(), d.Interface()) {
 			e.marshal(v)
 		}
 	default:
@@ -163,7 +244,7 @@ func (e *snapshotEncoder) appendValue(v reflect.Value) {
 	}
 }
 
-// marshal is the fallback for a shape without a fast path.
+// marshal is the fallback for a shape without a typed path.
 func (e *snapshotEncoder) marshal(v reflect.Value) {
 	b, err := json.Marshal(v.Interface())
 	if err != nil && e.err == nil {
@@ -172,127 +253,236 @@ func (e *snapshotEncoder) marshal(v reflect.Value) {
 	e.buf = append(e.buf, b...)
 }
 
-// appendMap encodes the map shapes the accumulator uses and reports
-// whether m was one of them.
-func (e *snapshotEncoder) appendMap(m any) bool {
+// appendMap encodes the map shapes the accumulator uses, given d, the
+// same map in the delta (of the same type), and reports whether m was
+// one of them.
+func (e *snapshotEncoder) appendMap(m, d any) bool {
 	switch m := m.(type) {
 	case map[string]bool:
-		e.appendSet(m)
+		spliceMap(e, m, d.(map[string]bool), stringKeys[string](), boolValue)
 	case map[string]siteSet:
-		appendNested(e, m, (*snapshotEncoder).appendSet)
+		spliceMap(e, m, d.(map[string]siteSet), stringKeys[string](), setValue)
 	case map[dataset.Phase]map[string]siteSet:
-		appendNested(e, m, func(e *snapshotEncoder, sets map[string]siteSet) {
-			appendNested(e, sets, (*snapshotEncoder).appendSet)
-		})
+		spliceMap(e, m, d.(map[dataset.Phase]map[string]siteSet), stringKeys[dataset.Phase](), setsValue)
 	case map[string]int:
-		appendCounts(e, m)
+		spliceMap(e, m, d.(map[string]int), stringKeys[string](), intValue)
 	case stats.Counter:
-		appendCounts(e, m)
+		spliceMap(e, m, d.(stats.Counter), stringKeys[string](), intValue)
 	case map[dataset.CallType]int:
-		appendCounts(e, m)
+		spliceMap(e, m, d.(map[dataset.CallType]int), stringKeys[dataset.CallType](), intValue)
 	case map[dataset.Phase]map[dataset.CallType]int:
-		appendNested(e, m, appendCounts[dataset.CallType])
+		spliceMap(e, m, d.(map[dataset.Phase]map[dataset.CallType]int), stringKeys[dataset.Phase](), countsValue)
 	case map[string]map[dataset.CallType]int:
-		appendNested(e, m, appendCounts[dataset.CallType])
+		spliceMap(e, m, d.(map[string]map[dataset.CallType]int), stringKeys[string](), countsValue)
 	case map[int]rankCount:
-		appendIntKeyed(e, m)
+		spliceMap(e, m, d.(map[int]rankCount), intKeys(), structValues[rankCount]())
 	case map[int]epochCount:
-		appendIntKeyed(e, m)
+		spliceMap(e, m, d.(map[int]epochCount), intKeys(), structValues[epochCount]())
 	default:
 		return false
 	}
 	return true
 }
 
-// appendSet encodes a set. Sets are all-true in practice (the caller
-// set Allowed is not), so when every value is true none is looked up.
-func (e *snapshotEncoder) appendSet(m map[string]bool) {
+// The value encoders: each encodes a map value given its counterpart in
+// the delta.
+
+func boolValue(e *snapshotEncoder, v, _ bool) { e.buf = strconv.AppendBool(e.buf, v) }
+
+func intValue(e *snapshotEncoder, v, _ int) { e.buf = strconv.AppendInt(e.buf, int64(v), 10) }
+
+func setValue(e *snapshotEncoder, v, d siteSet) {
+	spliceMap(e, v, d, stringKeys[string](), boolValue)
+}
+
+func setsValue(e *snapshotEncoder, v, d map[string]siteSet) {
+	spliceMap(e, v, d, stringKeys[string](), setValue)
+}
+
+func countsValue(e *snapshotEncoder, v, d map[dataset.CallType]int) {
+	spliceMap(e, v, d, stringKeys[dataset.CallType](), intValue)
+}
+
+// structValues returns a value encoder for a map's struct values. It
+// walks them through two addressable copies, allocated once per map
+// rather than once per value.
+func structValues[V any]() func(*snapshotEncoder, V, V) {
+	pv, pd := new(V), new(V)
+	rv, rd := reflect.ValueOf(pv).Elem(), reflect.ValueOf(pd).Elem()
+	return func(e *snapshotEncoder, v, d V) {
+		*pv, *pd = v, d
+		e.appendStruct(rv, rd)
+	}
+}
+
+// spliceMap encodes m given d, the same map in the delta (nil: nothing
+// was folded into m since the previous encode). Each value is encoded by
+// val with its counterpart in d. A map of at least memoMinLen keys is
+// spliced from its memo; a smaller one is encoded in full.
+func spliceMap[K comparable, V any](e *snapshotEncoder, m, d map[K]V, kc keyCodec[K], val func(*snapshotEncoder, V, V)) {
 	if m == nil {
 		e.buf = append(e.buf, "null"...)
 		return
 	}
-	keys := e.keys.take()
-	allTrue := true
-	for k, v := range m {
-		keys = append(keys, k)
-		allTrue = allTrue && v
-	}
-	slices.Sort(keys)
-	e.buf = append(e.buf, '{')
-	for i, k := range keys {
-		if i > 0 {
-			e.buf = append(e.buf, ',')
-		}
-		e.buf = appendJSONString(e.buf, k)
-		if allTrue || m[k] {
-			e.buf = append(e.buf, ":true"...)
-		} else {
-			e.buf = append(e.buf, ":false"...)
-		}
-	}
-	e.buf = append(e.buf, '}')
-	e.keys.put(keys)
-}
-
-// appendCounts encodes a string-keyed counter.
-func appendCounts[K ~string](e *snapshotEncoder, m map[K]int) {
-	appendNested(e, m, func(e *snapshotEncoder, n int) {
-		e.buf = strconv.AppendInt(e.buf, int64(n), 10)
-	})
-}
-
-// appendNested encodes a string-keyed map whose values val encodes.
-func appendNested[K ~string, V any](e *snapshotEncoder, m map[K]V, val func(*snapshotEncoder, V)) {
-	if m == nil {
-		e.buf = append(e.buf, "null"...)
+	if len(m) < memoMinLen {
+		appendSmallMap(e, m, d, kc, val)
 		return
 	}
-	keys := e.keys.take()
+	spliceMemo(e, memoOf(e, m), m, d, kc, val)
+}
+
+// appendSmallMap encodes a map too small to memoize in full.
+func appendSmallMap[K comparable, V any](e *snapshotEncoder, m, d map[K]V, kc keyCodec[K], val func(*snapshotEncoder, V, V)) {
+	var small [memoMinLen]K
+	keys := small[:0]
 	for k := range m {
-		keys = append(keys, string(k))
+		keys = append(keys, k)
 	}
-	slices.Sort(keys)
+	sortKeys(keys, kc.compare)
 	e.buf = append(e.buf, '{')
 	for i, k := range keys {
 		if i > 0 {
 			e.buf = append(e.buf, ',')
 		}
-		e.buf = appendJSONString(e.buf, k)
+		e.buf = kc.appendKey(e.buf, k)
 		e.buf = append(e.buf, ':')
-		val(e, m[K(k)])
+		val(e, m[k], d[k])
 	}
 	e.buf = append(e.buf, '}')
-	e.keys.put(keys)
 }
 
-// appendIntKeyed encodes an int-keyed map of tagged structs. encoding/json
-// quotes int keys and sorts them as decimal strings, so "10" precedes
-// "9".
-func appendIntKeyed[V any](e *snapshotEncoder, m map[int]V) {
-	if m == nil {
-		e.buf = append(e.buf, "null"...)
+// spliceMemo encodes m from its memo mm and the delta d, and updates
+// the memo to the new encoding.
+func spliceMemo[K comparable, V any](e *snapshotEncoder, mm *mapMemo[K], m, d map[K]V, kc keyCodec[K], val func(*snapshotEncoder, V, V)) {
+	old, off := mm.keys, mm.off
+	src, fresh := d, len(old) == 0
+	if fresh {
+		// Nothing memoized: every key is new.
+		src = m
+		mm.added = slices.Grow(mm.added[:0], len(m))
+		mm.spans = slices.Grow(mm.spans[:0], len(m))
+	}
+	touched, added := mm.touched[:0], mm.added[:0]
+	for k := range src {
+		if i, ok := slices.BinarySearchFunc(old, k, kc.compare); ok {
+			touched = append(touched, i)
+		} else {
+			added = append(added, k)
+		}
+	}
+	mm.touched, mm.added = touched, added
+	if len(touched) == 0 && len(added) == 0 {
+		e.output(len(e.buf), mm.enc)
 		return
 	}
-	keys := e.ints.take()
-	for k := range m {
-		keys = append(keys, k)
-	}
-	slices.SortFunc(keys, compareDecimal)
-	var val V
-	rv := reflect.ValueOf(&val).Elem()
+	slices.Sort(touched)
+	sortKeys(added, kc.compare)
+
+	// Walk the old keys in order, emitting each new key at its insertion
+	// point, re-encoding each touched one, and copying the runs between.
+	// Each stretch of output is noted as a span.
+	start := len(e.buf)
+	spans := mm.spans[:0]
 	e.buf = append(e.buf, '{')
-	for i, k := range keys {
-		if i > 0 {
+	next := func(sp span) {
+		if len(e.buf) > start+1 {
 			e.buf = append(e.buf, ',')
 		}
-		e.buf = append(e.buf, '"')
-		e.buf = strconv.AppendInt(e.buf, int64(k), 10)
-		e.buf = append(e.buf, '"', ':')
-		val = m[k]
-		e.appendValue(rv)
+		sp.at = len(e.buf) - start
+		spans = append(spans, sp)
+	}
+	entry := func(k K, sp span) {
+		next(sp)
+		e.buf = kc.appendKey(e.buf, k)
+		e.buf = append(e.buf, ':')
+		e.depth++
+		val(e, m[k], d[k])
+		e.depth--
+	}
+	insertAt := func(a int) int {
+		if a == len(added) {
+			return len(old)
+		}
+		i, _ := slices.BinarySearchFunc(old, added[a], kc.compare)
+		return i
+	}
+	a, t := 0, 0
+	at := insertAt(0)
+	for i := 0; i < len(old) || a < len(added); {
+		switch {
+		case a < len(added) && at == i:
+			entry(added[a], span{old: a})
+			a++
+			at = insertAt(a)
+		case t < len(touched) && touched[t] == i:
+			entry(old[i], span{old: i, n: 1})
+			t++
+			i++
+		default:
+			end := at
+			if t < len(touched) {
+				end = min(end, touched[t])
+			}
+			next(span{old: i, n: end - i})
+			e.buf = append(e.buf, mm.enc[off[i]:off[end]-1]...)
+			i = end
+		}
 	}
 	e.buf = append(e.buf, '}')
-	e.ints.put(keys)
+	mm.enc = append(mm.enc[:0], e.buf[start:]...)
+	e.output(start, mm.enc)
+
+	// Rebuild the keys and offsets in place, back to front: a fragment
+	// only ever moves towards the end. With nothing memoized, the merged
+	// keys are the added ones, already in place.
+	n := len(old) + len(added)
+	keys := added
+	if !fresh {
+		keys = slices.Grow(old, n-len(old))[:n]
+	}
+	off = slices.Grow(off, n+1-len(off))[:n+1]
+	off[n] = len(mm.enc)
+	j := n
+	for s := len(spans) - 1; s >= 0; s-- {
+		sp := spans[s]
+		if sp.n == 0 {
+			j--
+			keys[j], off[j] = added[sp.old], sp.at
+			continue
+		}
+		shift := sp.at - off[sp.old]
+		for x := sp.old + sp.n - 1; x >= sp.old; x-- {
+			j--
+			keys[j], off[j] = keys[x], off[x]+shift
+		}
+	}
+	mm.keys, mm.off, mm.spans = keys, off, spans
+	if fresh {
+		mm.added, mm.spans = nil, nil // sized for every key; a delta needs far fewer
+	}
+}
+
+// memoOf returns m's memo, creating an empty one on first use.
+func memoOf[K comparable, V any](e *snapshotEncoder, m map[K]V) *mapMemo[K] {
+	p := reflect.ValueOf(m).Pointer()
+	if mm, ok := e.memo[p].(*mapMemo[K]); ok {
+		return mm
+	}
+	if e.memo == nil {
+		e.memo = make(map[uintptr]any)
+	}
+	mm := &mapMemo[K]{m: m}
+	e.memo[p] = mm
+	return mm
+}
+
+// sortKeys sorts keys as encoding/json sorts map keys.
+func sortKeys[K comparable](keys []K, compare func(a, b K) int) {
+	if s, ok := any(keys).([]string); ok {
+		slices.Sort(s)
+		return
+	}
+	slices.SortFunc(keys, compare)
 }
 
 // compareDecimal orders ints by their decimal strings.
