@@ -24,11 +24,11 @@ race:
 # feed concurrently, the durable journal the crawl writes through, the
 # orchestrator's coordinator (concurrent shard supervision + restart
 # accounting), the chaos fault FS + fsck repair path (parallel recrawls
-# through the storage seam), and the serving path under load (etld
-# cache, topics engine pool, load-harness workers) — fast enough to
-# ride in `make all`.
+# through the storage seam), the serving path under load (etld
+# cache, topics engine pool, load-harness workers), and the campaign
+# spec every crawl path builds from — fast enough to ride in `make all`.
 race-core:
-	$(GO) test -race ./internal/analysis/ ./internal/crawler/ ./internal/webserver/ ./internal/obs/ ./internal/durable/ ./internal/dataset/ ./internal/orchestrator/ ./internal/etld/ ./internal/topics/ ./internal/load/ ./internal/chaos/ ./internal/fsck/
+	$(GO) test -race ./internal/analysis/ ./internal/crawler/ ./internal/webserver/ ./internal/obs/ ./internal/durable/ ./internal/dataset/ ./internal/orchestrator/ ./internal/etld/ ./internal/topics/ ./internal/load/ ./internal/chaos/ ./internal/fsck/ ./internal/campaign/
 
 # The storage-fault matrix: every artifact-level fault class (ENOSPC,
 # EIO blips, short writes, failed fsyncs, torn renames, bit flips)
@@ -94,8 +94,9 @@ load-slo:
 	$(GO) run ./cmd/topics-load -seed 1 -sites 1500 -requests 20000 -rate 5000 \
 		-slo-p50-ms 64 -slo-p99-ms 300 -slo-p999-ms 600 -slo-req-s 2000 > /dev/null
 
-# Short fuzz pass over every parser, and the .idx snapshot encoder —
-# full and incremental — against encoding/json.
+# Short fuzz pass over every parser, the .idx snapshot encoder — full
+# and incremental — against encoding/json, and the campaign spec's
+# flag round trip.
 fuzz:
 	$(GO) test -fuzz=FuzzParse -fuzztime=10s ./internal/htmlx/
 	$(GO) test -fuzz=FuzzReadAllowlist -fuzztime=10s ./internal/attestation/
@@ -110,6 +111,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzFsckReportDecode -fuzztime=10s ./internal/fsck/
 	$(GO) test -fuzz=FuzzSnapshotEncode -fuzztime=10s ./internal/analysis/
 	$(GO) test -fuzz=FuzzIncrementalSnapshot -fuzztime=10s ./internal/analysis/
+	$(GO) test -fuzz=FuzzSpecArgs -fuzztime=10s ./internal/campaign/
 
 # The incremental-analysis equivalence suite: fold-vs-build parity at
 # every prefix, snapshot round trip + corruption degradation, the

@@ -113,7 +113,7 @@ func TestCLIShardedCampaign(t *testing.T) {
 			t.Fatalf("building %s: %v\n%s", tool, err, out)
 		}
 	}
-	run := func(name string, args ...string) string {
+	run := func(t *testing.T, name string, args ...string) string {
 		t.Helper()
 		cmd := exec.Command(bin(name), args...)
 		out, err := cmd.CombinedOutput()
@@ -123,43 +123,117 @@ func TestCLIShardedCampaign(t *testing.T) {
 		return string(out)
 	}
 
-	campaign := []string{"-seed", "9", "-sites", "120", "-quiet", "-chaos", "-chaos-seed", "5"}
+	base := []string{"-seed", "9", "-sites", "120", "-quiet", "-chaos", "-chaos-seed", "5"}
+	for _, row := range []struct {
+		name string
+		args []string
+	}{
+		{"defaults", nil},
+		// The exec workers must carry every campaign flag, not just the
+		// ones topics-crawl had first.
+		{"date-vantage-budget", []string{"-date", "2024-01-15", "-vantage", "us", "-visit-budget-ms", "30000"}},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			dir := t.TempDir()
+			campaign := append(append([]string{}, base...), row.args...)
 
-	single := filepath.Join(dir, "single.jsonl")
-	run("topics-crawl", append(campaign,
-		"-out", single,
-		"-attest", filepath.Join(dir, "sa.jsonl"),
-		"-allowlist", filepath.Join(dir, "sal.dat"))...)
+			single := filepath.Join(dir, "single.jsonl")
+			run(t, "topics-crawl", append(campaign,
+				"-out", single,
+				"-attest", filepath.Join(dir, "sa.jsonl"),
+				"-allowlist", filepath.Join(dir, "sal.dat"))...)
 
-	merged := filepath.Join(dir, "merged.jsonl")
-	report := filepath.Join(dir, "report.json")
-	out := run("topics-orch", append(campaign,
-		"-shards", "4", "-worker-bin", bin("topics-crawl"),
-		"-out", merged, "-report", report,
-		"-attest", filepath.Join(dir, "ma.jsonl"),
-		"-allowlist", filepath.Join(dir, "mal.dat"))...)
-	if !strings.Contains(out, "4 shards, 0 restarts") {
-		t.Errorf("topics-orch output: %s", out)
+			merged := filepath.Join(dir, "merged.jsonl")
+			report := filepath.Join(dir, "report.json")
+			out := run(t, "topics-orch", append(campaign,
+				"-shards", "4", "-worker-bin", bin("topics-crawl"),
+				"-out", merged, "-report", report,
+				"-attest", filepath.Join(dir, "ma.jsonl"),
+				"-allowlist", filepath.Join(dir, "mal.dat"))...)
+			if !strings.Contains(out, "4 shards, 0 restarts") {
+				t.Errorf("topics-orch output: %s", out)
+			}
+
+			singleBytes, err := durable.CanonicalBytes(single)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mergedBytes, err := durable.CanonicalBytes(merged)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(singleBytes) == 0 || !bytes.Equal(singleBytes, mergedBytes) {
+				t.Fatalf("exec-sharded dataset differs from single-process crawl (%d vs %d bytes)", len(mergedBytes), len(singleBytes))
+			}
+			if fi, err := os.Stat(report); err != nil || fi.Size() == 0 {
+				t.Fatalf("report artifact missing: %v", err)
+			}
+
+			out = run(t, "topics-monitor", "-shards", merged)
+			if !strings.Contains(out, "(4 shards)") || !strings.Contains(out, "done") {
+				t.Errorf("topics-monitor -shards output: %s", out)
+			}
+		})
+	}
+}
+
+// TestCLIFsckRepairsNoRetryCampaign: a campaign crawled with -retries 0
+// and repaired with the same flags comes back byte-identical. fsck once
+// read its -retries 0 as the library's "default retries" and recrawled
+// the quarantined window with three attempts per fetch.
+func TestCLIFsckRepairsNoRetryCampaign(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode: skipping fsck CLI repair")
+	}
+	dir := t.TempDir()
+	bin := func(name string) string { return filepath.Join(dir, name) }
+	for _, tool := range []string{"topics-crawl", "topics-fsck"} {
+		cmd := exec.Command("go", "build", "-o", bin(tool), "./cmd/"+tool)
+		if out, err := cmd.CombinedOutput(); err != nil {
+			t.Fatalf("building %s: %v\n%s", tool, err, out)
+		}
+	}
+	run := func(name string, args ...string) string {
+		t.Helper()
+		out, err := exec.Command(bin(name), args...).CombinedOutput()
+		if err != nil {
+			t.Fatalf("%s %v: %v\n%s", name, args, err, out)
+		}
+		return string(out)
 	}
 
-	singleBytes, err := durable.CanonicalBytes(single)
+	campaign := []string{"-seed", "3", "-sites", "300", "-chaos", "-chaos-seed", "4", "-retries", "0"}
+	journal := filepath.Join(dir, "crawl.jsonl")
+	run("topics-crawl", append(campaign, "-quiet",
+		"-out", journal,
+		"-attest", filepath.Join(dir, "a.jsonl"),
+		"-allowlist", filepath.Join(dir, "al.dat"))...)
+	want, err := durable.CanonicalBytes(journal)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mergedBytes, err := durable.CanonicalBytes(merged)
+
+	raw, err := os.ReadFile(journal)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(singleBytes) == 0 || !bytes.Equal(singleBytes, mergedBytes) {
-		t.Fatalf("exec-sharded dataset differs from single-process crawl (%d vs %d bytes)", len(mergedBytes), len(singleBytes))
+	for i := len(raw) / 2; i < len(raw)/2+8; i++ {
+		raw[i] ^= 0xff
 	}
-	if fi, err := os.Stat(report); err != nil || fi.Size() == 0 {
-		t.Fatalf("report artifact missing: %v", err)
+	if err := os.WriteFile(journal, raw, 0o644); err != nil {
+		t.Fatal(err)
 	}
 
-	out = run("topics-monitor", "-shards", merged)
-	if !strings.Contains(out, "(4 shards)") || !strings.Contains(out, "done") {
-		t.Errorf("topics-monitor -shards output: %s", out)
+	out := run("topics-fsck", append(campaign, "-data", journal, "-repair")...)
+	if !strings.Contains(out, "ranks recrawled") {
+		t.Fatalf("fsck repaired nothing: %s", out)
+	}
+	got, err := durable.CanonicalBytes(journal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("repaired dataset differs from the original crawl (%d vs %d bytes)", len(got), len(want))
 	}
 }
 

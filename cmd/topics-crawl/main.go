@@ -42,31 +42,25 @@ import (
 	"time"
 
 	"github.com/netmeasure/topicscope"
+	"github.com/netmeasure/topicscope/internal/campaign"
 	"github.com/netmeasure/topicscope/internal/chaos"
 	"github.com/netmeasure/topicscope/internal/durable"
 	"github.com/netmeasure/topicscope/internal/orchestrator"
 )
 
 func main() {
+	cf := campaign.Bind(flag.CommandLine)
 	var (
-		seed       = flag.Uint64("seed", 1, "world seed (must match the serving world)")
-		sites      = flag.Int("sites", 50000, "number of ranked sites to crawl")
-		workers    = flag.Int("workers", 16, "crawl parallelism")
 		connect    = flag.String("connect", "", "crawl a topics-serve instance at this address instead of in-process")
 		connectTLS = flag.String("connect-tls", "", "crawl a topics-serve -tls instance at this address (requires -ca-cert)")
 		caCert     = flag.String("ca-cert", "topicscope-ca.pem", "CA certificate PEM written by topics-serve -tls")
 		out        = flag.String("out", "crawl.jsonl", "visit dataset output (JSONL)")
 		attest     = flag.String("attest", "attest.jsonl", "attestation records output (JSONL)")
 		allowOut   = flag.String("allowlist", "allow.dat", "healthy allow-list output (.dat)")
-		enforce    = flag.Bool("enforce", false, "run the healthy-gate ablation instead of the corrupted gate")
 		quiet      = flag.Bool("quiet", false, "suppress progress logging")
 		resume     = flag.Bool("resume", false, "resume an interrupted campaign from -out's last checkpoint")
 		ckptEvery  = flag.Int("checkpoint-every", topicscope.DefaultCheckpointEvery, "sites between durable checkpoints (fsync + manifest)")
-		budgetMS   = flag.Int("visit-budget-ms", 0, "per-visit deadline on the virtual clock; 0 disables the watchdog")
 		timeoutMS  = flag.Int("timeout-ms", 10000, "per-request timeout for -connect mode")
-		useChaos   = flag.Bool("chaos", false, "inject the paper-calibrated fault profile client-side")
-		chaosSeed  = flag.Uint64("chaos-seed", 1, "fault-injection seed (independent of the world seed)")
-		retries    = flag.Int("retries", 2, "extra attempts per navigation/fetch; 0 disables retries")
 		tracePath  = flag.String("trace", "", "write per-visit span trees here (JSONL, .gz transparently); tail with topics-monitor -tail")
 		pprofAddr  = flag.String("pprof", "", "serve net/http/pprof and live crawl metrics at /__metrics on this address")
 		shard      = flag.String("shard", "", "run as shard i/N of a distributed campaign (see topics-orch); writes <out>.shard-i")
@@ -77,24 +71,32 @@ func main() {
 		enospcAfter  = flag.Int64("storage-enospc-after", 0, "simulated disk capacity in bytes; the crossing write latches a persistent ENOSPC (0 = unlimited)")
 	)
 	flag.Parse()
+	spec, err := cf.Spec()
+	if err != nil {
+		fatal(err)
+	}
+
+	var logger *slog.Logger
+	if !*quiet {
+		logger = slog.New(slog.NewTextHandler(os.Stderr, nil))
+	}
+	// Observability first: the journal reports its recovery and
+	// checkpoint counters through the same registry as the crawl.
+	reg := topicscope.NewMetricsRegistry()
+	storageFS, storageRetry := storagePolicy(*storageChaos, *storageSeed, *storageRate, *enospcAfter, reg)
 
 	if *shard != "" {
 		if *connect != "" || *connectTLS != "" || *tracePath != "" {
 			fatal(errors.New("-shard workers crawl their world window in-process: -connect, -connect-tls and -trace are unsupported"))
 		}
-		runShardWorker(shardWorkerFlags{
-			shard: *shard, seed: *seed, sites: *sites, workers: *workers,
-			out: *out, enforce: *enforce, quiet: *quiet, resume: *resume,
-			ckptEvery: *ckptEvery, budgetMS: *budgetMS,
-			chaos: *useChaos, chaosSeed: *chaosSeed, retries: *retries,
-			pprofAddr:    *pprofAddr,
-			storageChaos: *storageChaos, storageSeed: *storageSeed,
-			storageRate: *storageRate, enospcAfter: *enospcAfter,
+		runShardWorker(*shard, *pprofAddr, orchestrator.ShardCampaign{
+			Spec: spec, OutputPath: *out, CheckpointEvery: *ckptEvery, Resume: *resume,
+			Logger: logger, Metrics: reg, FS: storageFS, Retry: storageRetry,
 		})
 		return
 	}
 
-	world := topicscope.GenerateWorld(topicscope.WorldConfig{Seed: *seed, NumSites: *sites})
+	world := topicscope.GenerateWorld(spec.World())
 	allow := topicscope.NewAllowlist(world.Catalog.AllowedDomains()...)
 
 	var client *http.Client
@@ -115,19 +117,7 @@ func main() {
 	default:
 		client = topicscope.NewServer(world, nil).Client()
 	}
-	var injector *topicscope.ChaosInjector
-	if *useChaos {
-		injector = topicscope.EnableChaos(client, topicscope.DefaultChaos(*chaosSeed))
-	}
-
-	var logger *slog.Logger
-	if !*quiet {
-		logger = slog.New(slog.NewTextHandler(os.Stderr, nil))
-	}
-
-	// Observability first: the journal reports its recovery and
-	// checkpoint counters through the same registry as the crawl.
-	reg := topicscope.NewMetricsRegistry()
+	injector := spec.Inject(client)
 
 	list := world.List()
 	rankSite := make(map[int]string, len(list.Entries))
@@ -141,7 +131,6 @@ func main() {
 	// (<out>.idx at every checkpoint) for topics-monitor -live and
 	// topics-report -live.
 	skip := map[string]bool{}
-	storageFS, storageRetry := storagePolicy(*storageChaos, *storageSeed, *storageRate, *enospcAfter, reg)
 	liveIn := &topicscope.AnalysisInput{Allowlist: allow, Metrics: reg, FS: storageFS}
 	jopts := topicscope.JournalOptions{
 		CheckpointEvery: *ckptEvery,
@@ -213,36 +202,20 @@ func main() {
 		traces = append(traces, traceWriter)
 	}
 	if *pprofAddr != "" {
-		dbg, err := net.Listen("tcp", *pprofAddr)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Printf("pprof on http://%s/debug/pprof/ (metrics at %s)\n", dbg.Addr(), topicscope.MetricsPath)
-		go func() {
-			srv := &http.Server{Handler: topicscope.DebugMux(reg), ReadHeaderTimeout: 10 * time.Second}
-			srv.Serve(dbg) //nolint:errcheck // best-effort debug endpoint
-		}()
+		serveDebug(*pprofAddr, reg)
 	}
 
-	attempts := *retries + 1
-	if attempts < 1 {
-		attempts = 1
-	}
-	cr := topicscope.NewCrawler(topicscope.CrawlerConfig{
+	cr := topicscope.NewCrawler(spec.Crawler(topicscope.CrawlerConfig{
 		Client:             client,
 		ReferenceAllowlist: allow,
-		Enforce:            *enforce,
-		Workers:            *workers,
 		Writer:             journal,
 		Collect:            true,
 		SkipSites:          skip,
 		Scheme:             scheme,
-		Attempts:           attempts,
-		VisitBudget:        time.Duration(*budgetMS) * time.Millisecond,
 		Logger:             logger,
 		Metrics:            reg,
 		Traces:             traces,
-	})
+	}))
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -295,75 +268,27 @@ func main() {
 	fmt.Printf("allow-list: %s (%d domains)\n", *allowOut, allow.Len())
 }
 
-// shardWorkerFlags carries the flag subset a -shard worker honours.
-type shardWorkerFlags struct {
-	shard             string
-	seed, chaosSeed   uint64
-	sites, workers    int
-	out               string
-	enforce, quiet    bool
-	resume, chaos     bool
-	ckptEvery         int
-	budgetMS, retries int
-	pprofAddr         string
-	storageChaos      bool
-	storageSeed       uint64
-	storageRate       float64
-	enospcAfter       int64
-}
-
 // runShardWorker is the -shard i/N mode: one worker of a distributed
 // campaign, crawling only its contiguous rank window into its own
 // journal shard. The coordinator owns everything downstream (merge,
 // attestations, analysis), so this path writes no -attest/-allowlist
 // artifacts.
-func runShardWorker(f shardWorkerFlags) {
-	index, count, err := orchestrator.ParseShard(f.shard)
+func runShardWorker(shard, pprofAddr string, sc orchestrator.ShardCampaign) {
+	index, count, err := orchestrator.ParseShard(shard)
 	if err != nil {
 		fatal(err)
 	}
-	specs, err := orchestrator.Partition(f.sites, count)
+	specs, err := orchestrator.Partition(sc.Sites, count)
 	if err != nil {
 		fatal(err)
 	}
 	if count != len(specs) {
-		fatal(fmt.Errorf("%d shards over %d sites: at most one shard per site", count, f.sites))
+		fatal(fmt.Errorf("%d shards over %d sites: at most one shard per site", count, sc.Sites))
 	}
 	spec := specs[index]
-
-	reg := topicscope.NewMetricsRegistry()
-	metricsURL := ""
-	if f.pprofAddr != "" {
-		dbg, err := net.Listen("tcp", f.pprofAddr)
-		if err != nil {
-			fatal(err)
-		}
-		metricsURL = fmt.Sprintf("http://%s%s", dbg.Addr(), topicscope.MetricsPath)
-		fmt.Printf("pprof on http://%s/debug/pprof/ (metrics at %s)\n", dbg.Addr(), topicscope.MetricsPath)
-		go func() {
-			srv := &http.Server{Handler: topicscope.DebugMux(reg), ReadHeaderTimeout: 10 * time.Second}
-			srv.Serve(dbg) //nolint:errcheck // best-effort debug endpoint
-		}()
-	}
-	var logger *slog.Logger
-	if !f.quiet {
-		logger = slog.New(slog.NewTextHandler(os.Stderr, nil))
-	}
-	retries := f.retries
-	if retries <= 0 {
-		retries = -1 // ShardCampaign uses the Campaign convention: negative disables
-	}
-
-	storageFS, storageRetry := storagePolicy(f.storageChaos, f.storageSeed, f.storageRate, f.enospcAfter, reg)
-	sc := orchestrator.ShardCampaign{
-		Seed: f.seed, Sites: f.sites, Workers: f.workers,
-		Enforce: f.enforce, Chaos: f.chaos, ChaosSeed: f.chaosSeed,
-		Retries:     retries,
-		VisitBudget: time.Duration(f.budgetMS) * time.Millisecond,
-		OutputPath:  f.out, CheckpointEvery: f.ckptEvery,
-		Shard: spec, Resume: f.resume,
-		Logger: logger, Metrics: reg, MetricsURL: metricsURL,
-		FS: storageFS, Retry: storageRetry,
+	sc.Shard = spec
+	if pprofAddr != "" {
+		sc.MetricsURL = "http://" + serveDebug(pprofAddr, sc.Metrics) + topicscope.MetricsPath
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -379,6 +304,21 @@ func runShardWorker(f shardWorkerFlags) {
 	default:
 		failStorageAware(nil, err)
 	}
+}
+
+// serveDebug serves net/http/pprof and reg's /__metrics on addr and
+// returns the bound address.
+func serveDebug(addr string, reg *topicscope.MetricsRegistry) string {
+	dbg, err := net.Listen("tcp", addr)
+	if err != nil {
+		fatal(err)
+	}
+	fmt.Printf("pprof on http://%s/debug/pprof/ (metrics at %s)\n", dbg.Addr(), topicscope.MetricsPath)
+	go func() {
+		srv := &http.Server{Handler: topicscope.DebugMux(reg), ReadHeaderTimeout: 10 * time.Second}
+		srv.Serve(dbg) //nolint:errcheck // best-effort debug endpoint
+	}()
+	return dbg.Addr().String()
 }
 
 // storagePolicy builds the artifact-write filesystem and retry policy:

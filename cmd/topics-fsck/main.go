@@ -23,8 +23,8 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"time"
 
+	"github.com/netmeasure/topicscope/internal/campaign"
 	"github.com/netmeasure/topicscope/internal/durable"
 	"github.com/netmeasure/topicscope/internal/fsck"
 	"github.com/netmeasure/topicscope/internal/obs"
@@ -32,17 +32,10 @@ import (
 )
 
 func main() {
+	cf := campaign.Bind(flag.CommandLine)
 	var (
 		data      = flag.String("data", "crawl.jsonl", "campaign dataset path (the journal, or the <out> the shards hang off)")
-		seed      = flag.Uint64("seed", 1, "world seed the campaign crawled with")
-		sites     = flag.Int("sites", 50000, "number of ranked sites the campaign covered")
 		shards    = flag.Int("shards", 0, "shard count of a distributed campaign; 0 = single journal at -data")
-		workers   = flag.Int("workers", 16, "recrawl parallelism for -repair")
-		enforce   = flag.Bool("enforce", false, "campaign ran the healthy-gate ablation")
-		useChaos  = flag.Bool("chaos", false, "campaign ran with the client-side fault profile")
-		chaosSeed = flag.Uint64("chaos-seed", 1, "campaign's fault-injection seed")
-		retries   = flag.Int("retries", 2, "campaign's extra attempts per navigation/fetch")
-		budgetMS  = flag.Int("visit-budget-ms", 0, "campaign's per-visit virtual-clock budget")
 		ckptEvery = flag.Int("checkpoint-every", 0, "checkpoint cadence for repaired journals (0 = durable default)")
 		reportIn  = flag.String("report", "", "campaign report JSON artifact to verify (and regenerate under -repair)")
 		jsonOut   = flag.String("json", "", "write the machine-readable verify report here ('-' = stdout)")
@@ -50,23 +43,15 @@ func main() {
 		quiet     = flag.Bool("quiet", false, "suppress the human-readable summary")
 	)
 	flag.Parse()
-
-	camp := &fsck.Campaign{
-		Seed:            *seed,
-		Sites:           *sites,
-		Workers:         *workers,
-		Enforce:         *enforce,
-		Chaos:           *useChaos,
-		ChaosSeed:       *chaosSeed,
-		Retries:         *retries,
-		VisitBudget:     time.Duration(*budgetMS) * time.Millisecond,
-		CheckpointEvery: *ckptEvery,
-		Metrics:         obs.NewRegistry(),
+	spec, err := cf.Spec()
+	if err != nil {
+		fatal(err)
 	}
+	camp := &fsck.Campaign{Spec: spec, CheckpointEvery: *ckptEvery, Metrics: obs.NewRegistry()}
 
 	paths := fsck.CampaignPaths{Report: *reportIn}
 	if *shards > 0 {
-		specs, err := orchestrator.Partition(*sites, *shards)
+		specs, err := orchestrator.Partition(spec.Sites, *shards)
 		if err != nil {
 			fatal(err)
 		}
@@ -77,11 +62,10 @@ func main() {
 		}
 	} else {
 		paths.Journals = []string{*data}
-		paths.Windows = []fsck.Window{{From: 1, To: *sites}}
+		paths.Windows = []fsck.Window{{From: 1, To: spec.Sites}}
 	}
 
 	var rep *fsck.Report
-	var err error
 	if *repair {
 		var results []*fsck.RepairResult
 		rep, results, err = camp.RepairCampaign(context.Background(), paths)

@@ -23,7 +23,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -33,41 +32,36 @@ import (
 	"syscall"
 
 	"github.com/netmeasure/topicscope"
+	"github.com/netmeasure/topicscope/internal/campaign"
 	"github.com/netmeasure/topicscope/internal/obs"
 	"github.com/netmeasure/topicscope/internal/orchestrator"
 )
 
 func main() {
+	cf := campaign.Bind(flag.CommandLine)
 	var (
-		seed          = flag.Uint64("seed", 1, "world seed")
-		sites         = flag.Int("sites", 50000, "number of ranked sites to crawl")
 		shards        = flag.Int("shards", 4, "contiguous rank shards / workers")
-		workers       = flag.Int("workers", 16, "crawl parallelism inside each worker")
 		out           = flag.String("out", "crawl.jsonl", "merged dataset output (JSONL, .gz transparently); shards journal to <out>.shard-i")
 		attest        = flag.String("attest", "attest.jsonl", "attestation records output (JSONL)")
 		allowOut      = flag.String("allowlist", "allow.dat", "healthy allow-list output (.dat)")
 		reportOut     = flag.String("report", "", "write the report as JSON here instead of rendering it to stdout")
-		enforce       = flag.Bool("enforce", false, "run the healthy-gate ablation instead of the corrupted gate")
 		quiet         = flag.Bool("quiet", false, "suppress progress logging")
 		resume        = flag.Bool("resume", false, "resume an interrupted distributed campaign from the shard checkpoints")
 		ckptEvery     = flag.Int("checkpoint-every", topicscope.DefaultCheckpointEvery, "sites between durable checkpoints per shard")
-		useChaos      = flag.Bool("chaos", false, "inject the paper-calibrated fault profile client-side")
-		chaosSeed     = flag.Uint64("chaos-seed", 1, "fault-injection seed (independent of the world seed)")
-		retries       = flag.Int("retries", 2, "extra attempts per navigation/fetch; 0 disables retries")
 		maxRestarts   = flag.Int("max-restarts", orchestrator.DefaultMaxRestarts, "restart budget per shard after a worker crash; 0 disables restarts")
 		workerBin     = flag.String("worker-bin", "", "spawn each shard as this topics-crawl binary instead of in-process goroutines")
 		workerMetrics = flag.Bool("worker-metrics", false, "with -worker-bin: give each worker a live /__metrics endpoint (topics-monitor -shards aggregates them)")
 		doFsck        = flag.Bool("fsck", false, "verify every shard journal after the crawl; corrupt shards are truncated to their last clean checkpoint and recrawled")
 	)
 	flag.Parse()
+	spec, err := cf.Spec()
+	if err != nil {
+		fatal(err)
+	}
 
 	var logger *slog.Logger
 	if !*quiet {
 		logger = slog.New(slog.NewTextHandler(os.Stderr, nil))
-	}
-	campRetries := *retries
-	if campRetries <= 0 {
-		campRetries = -1 // Campaign convention: negative disables retries
 	}
 	campRestarts := *maxRestarts
 	if campRestarts <= 0 {
@@ -83,9 +77,7 @@ func main() {
 	}
 
 	c := orchestrator.Campaign{
-		Seed: *seed, Sites: *sites, Workers: *workers,
-		Enforce: *enforce, Chaos: *useChaos, ChaosSeed: *chaosSeed,
-		Retries:    campRetries,
+		Spec:       spec,
 		OutputPath: *out, CheckpointEvery: *ckptEvery,
 		Shards: *shards, Resume: *resume, MaxRestarts: campRestarts,
 		Launcher: launcher, Logger: logger, Metrics: obs.NewRegistry(),
@@ -117,11 +109,7 @@ func main() {
 	fmt.Printf("allow-list: %s (%d domains)\n", *allowOut, res.Analysis.Allowlist.Len())
 
 	if *reportOut != "" {
-		data, err := json.MarshalIndent(res.Report, "", "  ")
-		if err != nil {
-			fatal(err)
-		}
-		if err := os.WriteFile(*reportOut, append(data, '\n'), 0o644); err != nil { //topicslint:ignore atomicwrite report artifact, regenerated wholesale from the journal on every run
+		if err := topicscope.WriteFileAtomic(*reportOut, res.Report.WriteJSON); err != nil {
 			fatal(err)
 		}
 		fmt.Printf("report: %s\n", *reportOut)

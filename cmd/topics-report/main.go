@@ -30,28 +30,25 @@ import (
 	"time"
 
 	"github.com/netmeasure/topicscope"
+	"github.com/netmeasure/topicscope/internal/campaign"
 )
 
 func main() {
+	cf := campaign.Bind(flag.CommandLine)
 	var (
-		seed      = flag.Uint64("seed", 1, "world seed")
-		sites     = flag.Int("sites", 50000, "number of ranked sites")
-		workers   = flag.Int("workers", 16, "crawl parallelism")
 		out       = flag.String("out", "", "write the report here instead of stdout")
 		data      = flag.String("data", "", "also write the visit dataset here (JSONL)")
 		jsonOut   = flag.String("json", "", "also write the machine-readable report here (JSON)")
-		enforce   = flag.Bool("enforce", false, "healthy-gate ablation")
 		quiet     = flag.Bool("quiet", false, "suppress progress logging")
-		date      = flag.String("date", "", "virtual crawl date YYYY-MM-DD (default 2024-03-30); earlier dates see fewer active callers")
-		vantage   = flag.String("vantage", "eu", "visitor jurisdiction: eu (the paper's setup) or us")
-		useChaos  = flag.Bool("chaos", false, "inject the paper-calibrated fault profile during the crawl")
-		chaosSeed = flag.Uint64("chaos-seed", 1, "fault-injection seed (independent of the world seed)")
-		retries   = flag.Int("retries", 2, "extra attempts per navigation/fetch; 0 disables retries")
 		tracePath = flag.String("trace", "", "write the campaign's span trees here (JSONL, .gz transparently)")
 		pprofAddr = flag.String("pprof", "", "serve net/http/pprof and live campaign metrics at /__metrics on this address")
 		livePath  = flag.String("live", "", "render the report from this campaign journal (index snapshot + tail fold) instead of crawling; -seed/-sites must match the campaign")
 	)
 	flag.Parse()
+	spec, err := cf.Spec()
+	if err != nil {
+		fatal(err)
+	}
 
 	var logger *slog.Logger
 	if !*quiet {
@@ -60,15 +57,6 @@ func main() {
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-
-	var start time.Time
-	if *date != "" {
-		var err error
-		start, err = time.Parse("2006-01-02", *date)
-		if err != nil {
-			fatal(err)
-		}
-	}
 
 	reg := topicscope.NewMetricsRegistry()
 	if *pprofAddr != "" {
@@ -103,30 +91,27 @@ func main() {
 	}
 
 	if *livePath != "" {
-		if err := liveReport(ctx, *livePath, *seed, *sites, *enforce, *useChaos, *chaosSeed, *out, *jsonOut, reg); err != nil {
+		if err := liveReport(ctx, *livePath, spec, *out, *jsonOut, reg); err != nil {
 			fatal(err)
 		}
 		return
 	}
 
-	campaignRetries := *retries
-	if campaignRetries <= 0 {
-		campaignRetries = -1 // Campaign: negative disables, 0 = default
-	}
 	results, err := topicscope.Campaign{
-		Seed:       *seed,
-		Sites:      *sites,
-		Workers:    *workers,
-		Enforce:    *enforce,
-		OutputPath: *data,
-		Start:      start,
-		Vantage:    *vantage,
-		Chaos:      *useChaos,
-		ChaosSeed:  *chaosSeed,
-		Retries:    campaignRetries,
-		Logger:     logger,
-		Trace:      traceOut,
-		Metrics:    reg,
+		Seed:        spec.Seed,
+		Sites:       spec.Sites,
+		Workers:     spec.Workers,
+		Enforce:     spec.Enforce,
+		OutputPath:  *data,
+		Start:       spec.Start,
+		Vantage:     spec.Vantage,
+		Chaos:       spec.Chaos,
+		ChaosSeed:   spec.ChaosSeed,
+		Retries:     spec.Retries,
+		VisitBudget: spec.VisitBudget,
+		Logger:      logger,
+		Trace:       traceOut,
+		Metrics:     reg,
 	}.Run(ctx)
 	if err != nil {
 		fatal(err)
@@ -150,7 +135,7 @@ func main() {
 	// Analyze, so these Compute* calls cost a map lookup, not a rescan.
 	overview := topicscope.ComputeOverview(results.Analysis)
 	text := fmt.Sprintf("topicscope report — seed=%d sites=%d enforce=%v\ncrawl: %s\nvisited: %d sites, %d third parties\n\n%s",
-		*seed, *sites, *enforce, results.Stats, overview.Visited, overview.UniqueThirdParties, results.Report.Render())
+		spec.Seed, spec.Sites, spec.Enforce, results.Stats, overview.Visited, overview.UniqueThirdParties, results.Report.Render())
 	if *out == "" {
 		fmt.Print(text)
 		return
@@ -172,9 +157,8 @@ func main() {
 // collected dataset), and compute every section from the assembled
 // index. At the final checkpoint the output is byte-identical to the
 // post-hoc report over the finished dataset.
-func liveReport(ctx context.Context, path string, seed uint64, sites int, enforce, useChaos bool, chaosSeed uint64, out, jsonOut string, reg *topicscope.MetricsRegistry) error {
-	world := topicscope.GenerateWorld(topicscope.WorldConfig{Seed: seed, NumSites: sites})
-	server := topicscope.NewServer(world, nil)
+func liveReport(ctx context.Context, path string, spec campaign.Spec, out, jsonOut string, reg *topicscope.MetricsRegistry) error {
+	world := topicscope.GenerateWorld(spec.World())
 	allow := topicscope.NewAllowlist(world.Catalog.AllowedDomains()...)
 
 	in := &topicscope.AnalysisInput{Allowlist: allow, Metrics: reg}
@@ -188,16 +172,11 @@ func liveReport(ctx context.Context, path string, seed uint64, sites int, enforc
 	// The attestation sweep the campaign would run after the crawl,
 	// against the same served world (and the same chaos weather — its
 	// decisions are pure per-request functions, so the outcomes match).
-	client := server.Client()
-	if useChaos {
-		topicscope.EnableChaos(client, topicscope.DefaultChaos(chaosSeed))
-	}
-	cr := topicscope.NewCrawler(topicscope.CrawlerConfig{
-		Client:             client,
+	cr := topicscope.NewCrawler(spec.Crawler(topicscope.CrawlerConfig{
+		Client:             spec.Client(world),
 		ReferenceAllowlist: allow,
-		Enforce:            enforce,
 		Metrics:            reg,
-	})
+	}))
 	domains := allow.Domains()
 	domains = append(domains, live.Callers()...)
 	recs := cr.CheckAttestations(ctx, domains)

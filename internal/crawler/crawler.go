@@ -53,6 +53,10 @@ type SiteCompleter interface {
 	SiteCompleted(rank int, site string) error
 }
 
+// DefaultAttempts is the try budget per navigation and fetch when
+// Config.Attempts is unset: the first try plus two retries.
+const DefaultAttempts = 3
+
 // Config parameterises a crawl.
 type Config struct {
 	// Client performs HTTP for every browser the crawl spawns.
@@ -95,9 +99,9 @@ type Config struct {
 	// not revisited and produce no records.
 	SkipSites map[string]bool
 	// Attempts is the try budget for each navigation and each fetch
-	// (1 = no retries; default 3). Navigation retries back off on the
-	// virtual clock, so they cost no wall time and the redrawn fault
-	// coins stay deterministic under any worker scheduling.
+	// (1 = no retries; default DefaultAttempts). Navigation retries back
+	// off on the virtual clock, so they cost no wall time and the redrawn
+	// fault coins stay deterministic under any worker scheduling.
 	Attempts int
 	// RetryBackoff is the base virtual-clock delay before a navigation
 	// retry (default 5s), doubled per attempt plus seeded jitter.
@@ -148,7 +152,7 @@ func (c Config) withDefaults() Config {
 		c.ReferenceAllowlist = attestation.NewAllowlist()
 	}
 	if c.Attempts <= 0 {
-		c.Attempts = 3
+		c.Attempts = DefaultAttempts
 	}
 	if c.RetryBackoff <= 0 {
 		c.RetryBackoff = 5 * time.Second

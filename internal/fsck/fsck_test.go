@@ -12,6 +12,7 @@ import (
 
 	"github.com/netmeasure/topicscope/internal/analysis"
 	"github.com/netmeasure/topicscope/internal/attestation"
+	"github.com/netmeasure/topicscope/internal/campaign"
 	"github.com/netmeasure/topicscope/internal/chaos"
 	"github.com/netmeasure/topicscope/internal/crawler"
 	"github.com/netmeasure/topicscope/internal/dataset"
@@ -33,11 +34,13 @@ const (
 
 func testCampaign() *fsck.Campaign {
 	return &fsck.Campaign{
-		Seed:            fkSeed,
-		Sites:           fkSites,
-		Workers:         8,
-		Chaos:           true,
-		ChaosSeed:       fkSeed,
+		Spec: campaign.Spec{
+			Seed:      fkSeed,
+			Sites:     fkSites,
+			Workers:   8,
+			Chaos:     true,
+			ChaosSeed: fkSeed,
+		},
 		CheckpointEvery: fkEvery,
 		Metrics:         obs.NewRegistry(),
 	}

@@ -15,11 +15,11 @@ var Determinism = &Analyzer{
 	Doc: `forbid nondeterminism sources in the determinism-critical packages
 (internal/analysis, internal/webworld, internal/chaos, internal/crawler,
 internal/dataset, internal/obs, internal/load, internal/durable,
-internal/orchestrator, internal/fsck): time.Now and time.Since
-read the wall clock; global math/rand functions draw from a process-wide
-unseeded source; ranging over a map while appending to a slice (without
-sorting it afterwards) or while writing output bakes random iteration
-order into the result.`,
+internal/orchestrator, internal/fsck, internal/campaign): time.Now and
+time.Since read the wall clock; global math/rand functions draw from a
+process-wide unseeded source; ranging over a map while appending to a
+slice (without sorting it afterwards) or while writing output bakes
+random iteration order into the result.`,
 	AppliesTo: inPackages(
 		"internal/analysis",
 		"internal/webworld",
@@ -39,6 +39,9 @@ order into the result.`,
 		// The repair path promises recrawls byte-identical to the damaged
 		// originals — fully seeded, no wall clock.
 		"internal/fsck",
+		// The campaign spec builds the world, client and crawler settings
+		// every one of those byte-identical paths starts from.
+		"internal/campaign",
 	),
 	Run: runDeterminism,
 }

@@ -7,17 +7,15 @@ import (
 	"fmt"
 	"log/slog"
 	"sync"
-	"time"
 
 	"github.com/netmeasure/topicscope/internal/analysis"
 	"github.com/netmeasure/topicscope/internal/attestation"
-	"github.com/netmeasure/topicscope/internal/chaos"
+	"github.com/netmeasure/topicscope/internal/campaign"
 	"github.com/netmeasure/topicscope/internal/crawler"
 	"github.com/netmeasure/topicscope/internal/dataset"
 	"github.com/netmeasure/topicscope/internal/durable"
 	"github.com/netmeasure/topicscope/internal/fsck"
 	"github.com/netmeasure/topicscope/internal/obs"
-	"github.com/netmeasure/topicscope/internal/webserver"
 	"github.com/netmeasure/topicscope/internal/webworld"
 )
 
@@ -33,19 +31,9 @@ const DefaultMaxRestarts = 2
 // single-process campaign would — which the merge-parity golden test
 // pins down to the byte.
 type Campaign struct {
-	// Seed, Sites, Workers, Enforce, Start, Vantage, Chaos, ChaosSeed,
-	// Retries and WorldConfig mirror topicscope.Campaign; Workers is the
-	// per-worker crawl parallelism.
-	Seed        uint64
-	Sites       int
-	Workers     int
-	Enforce     bool
-	Start       time.Time
-	Vantage     string
-	Chaos       bool
-	ChaosSeed   uint64
-	Retries     int
-	WorldConfig *webworld.Config
+	// Spec is the deterministic campaign every shard shares; its Workers
+	// is the per-worker crawl parallelism.
+	campaign.Spec
 
 	// OutputPath is the merged dataset path; shard i journals to
 	// ShardPath(OutputPath, i). Required.
@@ -114,16 +102,7 @@ func (c *Campaign) shardCampaign(spec ShardSpec, resume bool) ShardCampaign {
 		logger = logger.With("shard", spec.Index)
 	}
 	return ShardCampaign{
-		Seed:            c.Seed,
-		Sites:           c.Sites,
-		Workers:         c.Workers,
-		Enforce:         c.Enforce,
-		Start:           c.Start,
-		Vantage:         c.Vantage,
-		Chaos:           c.Chaos,
-		ChaosSeed:       c.ChaosSeed,
-		Retries:         c.Retries,
-		WorldConfig:     c.WorldConfig,
+		Spec:            c.Spec,
 		OutputPath:      c.OutputPath,
 		CheckpointEvery: c.CheckpointEvery,
 		Shard:           spec,
@@ -225,10 +204,7 @@ func (c Campaign) Run(ctx context.Context) (*Result, error) {
 	if c.Shards < 1 {
 		return nil, fmt.Errorf("orchestrator: campaign needs Shards >= 1, got %d", c.Shards)
 	}
-	cfg := webworld.Config{Seed: c.Seed, NumSites: c.Sites}
-	if c.WorldConfig != nil {
-		cfg = *c.WorldConfig
-	}
+	cfg := c.World()
 	if c.Metrics == nil {
 		c.Metrics = obs.NewRegistry()
 	}
@@ -331,21 +307,13 @@ func (c Campaign) Run(ctx context.Context) (*Result, error) {
 	// campaign-wide attestation checks, and a report computed from the
 	// commutative merge of per-shard index partials.
 	world := webworld.Generate(cfg)
-	server := webserver.New(world, nil)
 	allow := attestation.NewAllowlist(world.Catalog.AllowedDomains()...)
-	client := server.Client()
-	if c.Chaos {
-		client.Transport = chaos.NewInjector(webworld.DefaultChaos(c.ChaosSeed), client.Transport)
-	}
-	cr := crawler.New(crawler.Config{
-		Client:             client,
+	cr := crawler.New(c.Crawler(crawler.Config{
+		Client:             c.Client(world),
 		ReferenceAllowlist: allow,
-		Enforce:            c.Enforce,
-		Start:              c.Start,
-		Vantage:            c.Vantage,
 		Logger:             c.Logger,
 		Metrics:            c.Metrics,
-	})
+	}))
 	domains := allow.Domains()
 	domains = append(domains, crawler.CallerDomains(data)...)
 	recs := cr.CheckAttestations(ctx, domains)

@@ -71,9 +71,11 @@ func (l *InProcLauncher) Start(ctx context.Context, c *Campaign, spec ShardSpec,
 // graceful-drain code topics-crawl already uses, anything else is a
 // crash eligible for restart.
 //
-// The exec boundary carries only what topics-crawl flags can express:
-// campaigns with a WorldConfig override, a custom Start or a Vantage
-// are rejected (run those with the InProcLauncher).
+// The worker's command line is the campaign's Spec.Args, so a worker
+// runs exactly the campaign the coordinator holds. Only what no
+// topics-crawl flag can carry is refused: a WorldConfig override, a
+// Start that is not a UTC midnight, or a sub-millisecond VisitBudget
+// (run those with the InProcLauncher).
 type ExecLauncher struct {
 	// Bin is the topics-crawl binary.
 	Bin string
@@ -105,34 +107,15 @@ func (h *execHandle) Wait() error {
 
 // Start spawns `topics-crawl -shard i/N` with the campaign's flags.
 func (l *ExecLauncher) Start(ctx context.Context, c *Campaign, spec ShardSpec, attempt int, resume bool) (Handle, error) {
-	if c.WorldConfig != nil || !c.Start.IsZero() || c.Vantage != "" {
-		return nil, fmt.Errorf("orchestrator: exec launcher cannot express WorldConfig/Start/Vantage overrides")
+	args, err := c.Args()
+	if err != nil {
+		return nil, fmt.Errorf("orchestrator: exec launcher: %w", err)
 	}
-	// topics-crawl's -retries is "extra attempts; 0 disables", the
-	// inverse of Campaign.Retries' "0 = default (2), negative disables".
-	retries := c.Retries
-	switch {
-	case retries == 0:
-		retries = 2
-	case retries < 0:
-		retries = 0
-	}
-	args := []string{
+	args = append(args,
 		"-shard", fmt.Sprintf("%d/%d", spec.Index, spec.Count),
-		"-seed", strconv.FormatUint(c.Seed, 10),
-		"-sites", strconv.Itoa(c.Sites),
-		"-workers", strconv.Itoa(c.Workers),
 		"-out", c.OutputPath,
 		"-checkpoint-every", strconv.Itoa(c.CheckpointEvery),
-		"-retries", strconv.Itoa(retries),
-		"-chaos-seed", strconv.FormatUint(c.ChaosSeed, 10),
-	}
-	if c.Enforce {
-		args = append(args, "-enforce")
-	}
-	if c.Chaos {
-		args = append(args, "-chaos")
-	}
+	)
 	if c.Logger == nil {
 		args = append(args, "-quiet")
 	}

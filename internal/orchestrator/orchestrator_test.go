@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"github.com/netmeasure/topicscope"
+	"github.com/netmeasure/topicscope/internal/campaign"
 	"github.com/netmeasure/topicscope/internal/chaos"
 	"github.com/netmeasure/topicscope/internal/durable"
 	"github.com/netmeasure/topicscope/internal/obs"
@@ -68,8 +69,10 @@ func runSingle(t *testing.T, out string, sites int) *topicscope.Results {
 
 func orchCampaign(out string, sites, shards int) orchestrator.Campaign {
 	return orchestrator.Campaign{
-		Seed: parSeed, Sites: sites, Workers: 8,
-		Chaos: true, ChaosSeed: parChaosSeed,
+		Spec: campaign.Spec{
+			Seed: parSeed, Sites: sites, Workers: 8,
+			Chaos: true, ChaosSeed: parChaosSeed,
+		},
 		OutputPath: out, CheckpointEvery: parEvery,
 		Shards: shards,
 	}
@@ -218,8 +221,10 @@ func TestGoldenShardedParity(t *testing.T) {
 // shardRunner runs one shard of the fixed 48-site matrix campaign.
 func shardRunner(out string, spec orchestrator.ShardSpec, resume bool, plan *chaos.CrashPlan) (*orchestrator.ShardResult, error) {
 	sc := orchestrator.ShardCampaign{
-		Seed: parSeed, Sites: 48, Workers: 8,
-		Chaos: true, ChaosSeed: parChaosSeed,
+		Spec: campaign.Spec{
+			Seed: parSeed, Sites: 48, Workers: 8,
+			Chaos: true, ChaosSeed: parChaosSeed,
+		},
 		OutputPath: out, CheckpointEvery: parEvery,
 		Shard: spec, Resume: resume, CrashPlan: plan,
 	}
@@ -408,7 +413,7 @@ func TestMergeJournalsRejectsBadShards(t *testing.T) {
 	paths := []string{orchestrator.ShardPath(out, 0), orchestrator.ShardPath(out, 1)}
 	run := func(i int, resume bool, plan *chaos.CrashPlan) error {
 		sc := orchestrator.ShardCampaign{
-			Seed: parSeed, Sites: sites, Workers: 4,
+			Spec:       campaign.Spec{Seed: parSeed, Sites: sites, Workers: 4},
 			OutputPath: out, CheckpointEvery: parEvery,
 			Shard: specs[i], Resume: resume, CrashPlan: plan,
 		}
@@ -480,7 +485,7 @@ func TestMergeOnRecordOrder(t *testing.T) {
 	for i, spec := range specs {
 		paths[i] = orchestrator.ShardPath(out, i)
 		sc := orchestrator.ShardCampaign{
-			Seed: parSeed, Sites: sites, Workers: 4,
+			Spec:       campaign.Spec{Seed: parSeed, Sites: sites, Workers: 4},
 			OutputPath: out, CheckpointEvery: parEvery, Shard: spec,
 		}
 		if _, err := sc.Run(context.Background()); err != nil {

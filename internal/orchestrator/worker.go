@@ -6,16 +6,15 @@ import (
 	"fmt"
 	"log/slog"
 	"os"
-	"time"
 
 	"github.com/netmeasure/topicscope/internal/analysis"
 	"github.com/netmeasure/topicscope/internal/attestation"
+	"github.com/netmeasure/topicscope/internal/campaign"
 	"github.com/netmeasure/topicscope/internal/chaos"
 	"github.com/netmeasure/topicscope/internal/crawler"
 	"github.com/netmeasure/topicscope/internal/dataset"
 	"github.com/netmeasure/topicscope/internal/durable"
 	"github.com/netmeasure/topicscope/internal/obs"
-	"github.com/netmeasure/topicscope/internal/webserver"
 	"github.com/netmeasure/topicscope/internal/webworld"
 )
 
@@ -32,22 +31,9 @@ import (
 // consumer makes the journal's record order a pure function of the rank
 // window.
 type ShardCampaign struct {
-	// Seed, Sites, Workers, Enforce, Start, Vantage, Chaos, ChaosSeed,
-	// Retries and WorldConfig mirror topicscope.Campaign and must be
-	// identical across every shard of one campaign.
-	Seed        uint64
-	Sites       int
-	Workers     int
-	Enforce     bool
-	Start       time.Time
-	Vantage     string
-	Chaos       bool
-	ChaosSeed   uint64
-	Retries     int
-	WorldConfig *webworld.Config
-	// VisitBudget is the optional per-visit stage-clock watchdog
-	// (topics-crawl -visit-budget-ms).
-	VisitBudget time.Duration
+	// Spec is the deterministic campaign; it must be identical across
+	// every shard of one campaign.
+	campaign.Spec
 
 	// OutputPath is the campaign's dataset path; the shard journal goes
 	// to ShardPath(OutputPath, Shard.Index).
@@ -101,24 +87,8 @@ func (c ShardCampaign) Run(ctx context.Context) (*ShardResult, error) {
 		c.Shard.FromRank < 1 || c.Shard.ToRank < c.Shard.FromRank {
 		return nil, fmt.Errorf("orchestrator: invalid shard %s", c.Shard)
 	}
-	cfg := webworld.Config{Seed: c.Seed, NumSites: c.Sites}
-	if c.WorldConfig != nil {
-		cfg = *c.WorldConfig
-	}
-	world := webworld.GenerateRange(cfg, c.Shard.FromRank, c.Shard.ToRank)
-	server := webserver.New(world, nil)
+	world := webworld.GenerateRange(c.World(), c.Shard.FromRank, c.Shard.ToRank)
 	allow := attestation.NewAllowlist(world.Catalog.AllowedDomains()...)
-
-	client := server.Client()
-	if c.Chaos {
-		client.Transport = chaos.NewInjector(webworld.DefaultChaos(c.ChaosSeed), client.Transport)
-	}
-	attempts := 0
-	if c.Retries > 0 {
-		attempts = c.Retries + 1
-	} else if c.Retries < 0 {
-		attempts = 1
-	}
 	reg := c.Metrics
 	if reg == nil {
 		reg = obs.NewRegistry()
@@ -205,20 +175,14 @@ func (c ShardCampaign) Run(ctx context.Context) (*ShardResult, error) {
 	for site := range skipSites {
 		crawlSkip[site] = true
 	}
-	cr := crawler.New(crawler.Config{
-		Client:             client,
+	cr := crawler.New(c.Crawler(crawler.Config{
+		Client:             c.Client(world),
 		ReferenceAllowlist: allow,
-		Enforce:            c.Enforce,
-		Workers:            c.Workers,
-		Start:              c.Start,
-		Vantage:            c.Vantage,
 		Writer:             journal,
 		SkipSites:          crawlSkip,
-		Attempts:           attempts,
-		VisitBudget:        c.VisitBudget,
 		Logger:             c.Logger,
 		Metrics:            reg,
-	})
+	}))
 
 	c.writeStatus(path, StateRunning, nil)
 	crawlRes, err := cr.Run(ctx, list)

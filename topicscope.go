@@ -28,11 +28,10 @@ import (
 
 	"github.com/netmeasure/topicscope/internal/analysis"
 	"github.com/netmeasure/topicscope/internal/attestation"
-	"github.com/netmeasure/topicscope/internal/chaos"
+	"github.com/netmeasure/topicscope/internal/campaign"
 	"github.com/netmeasure/topicscope/internal/crawler"
 	"github.com/netmeasure/topicscope/internal/dataset"
 	"github.com/netmeasure/topicscope/internal/obs"
-	"github.com/netmeasure/topicscope/internal/webserver"
 	"github.com/netmeasure/topicscope/internal/webworld"
 )
 
@@ -76,6 +75,9 @@ type Campaign struct {
 	// Retries is the extra-attempt budget per navigation/fetch: 0 keeps
 	// the default policy (2 retries), negative disables retries.
 	Retries int
+	// VisitBudget bounds one visit's stage-clock time (navigation plus
+	// retry backoffs); 0 disables the watchdog.
+	VisitBudget time.Duration
 	// Logger receives progress (nil = silent).
 	Logger *slog.Logger
 	// Trace, when set, receives the campaign's span trees as JSONL: one
@@ -121,26 +123,22 @@ type Results struct {
 	TraceSummary *TraceSummary
 }
 
+// spec is the campaign's deterministic part: everything a shard, a
+// repair recrawl or a worker process must share to reproduce its bytes.
+func (c Campaign) spec() campaign.Spec {
+	return campaign.Spec{
+		Seed: c.Seed, Sites: c.Sites, Workers: c.Workers, Enforce: c.Enforce,
+		Start: c.Start, Vantage: c.Vantage, Chaos: c.Chaos, ChaosSeed: c.ChaosSeed,
+		Retries: c.Retries, VisitBudget: c.VisitBudget, WorldConfig: c.WorldConfig,
+	}
+}
+
 // Run executes the campaign.
 func (c Campaign) Run(ctx context.Context) (*Results, error) {
-	cfg := webworld.Config{Seed: c.Seed, NumSites: c.Sites}
-	if c.WorldConfig != nil {
-		cfg = *c.WorldConfig
-	}
-	world := webworld.Generate(cfg)
-	server := webserver.New(world, nil)
+	spec := c.spec()
+	world := webworld.Generate(spec.World())
 	allow := attestation.NewAllowlist(world.Catalog.AllowedDomains()...)
 
-	client := server.Client()
-	if c.Chaos {
-		client.Transport = chaos.NewInjector(webworld.DefaultChaos(c.ChaosSeed), client.Transport)
-	}
-	attempts := 0 // crawler default
-	if c.Retries > 0 {
-		attempts = c.Retries + 1
-	} else if c.Retries < 0 {
-		attempts = 1
-	}
 	reg := c.Metrics
 	if reg == nil {
 		reg = obs.NewRegistry()
@@ -152,19 +150,14 @@ func (c Campaign) Run(ctx context.Context) (*Results, error) {
 		traceWriter = obs.NewTraceWriter(c.Trace)
 		sink = append(sink, traceWriter)
 	}
-	ccfg := crawler.Config{
-		Client:             client,
+	ccfg := spec.Crawler(crawler.Config{
+		Client:             spec.Client(world),
 		ReferenceAllowlist: allow,
-		Enforce:            c.Enforce,
-		Workers:            c.Workers,
 		Collect:            true,
-		Start:              c.Start,
-		Vantage:            c.Vantage,
-		Attempts:           attempts,
 		Logger:             c.Logger,
 		Metrics:            reg,
 		Traces:             sink,
-	}
+	})
 	var journal *dataset.JournalWriter
 	var live *analysis.LiveSink
 	if c.OutputPath != "" {
